@@ -8,7 +8,6 @@ T_{n+1,k+1} <= T_{n,k} <= T_{n+1,k} survives the whole trajectory.
 import numpy as np
 
 from whittaker2d import (
-    IntegratorSpec,
     ModelConfig,
     Seed,
     TimeGrid,
@@ -26,11 +25,10 @@ def main():
     config = ModelConfig(
         N=N, gamma=gamma, initial=TriangularConfiguration.zeros(N)
     )
-    spec = IntegratorSpec()
 
     for replicate in range(3):
         noise = sample_noise(Seed(2024, replicate), grid, N)
-        result = simulate(config, grid, noise, spec)
+        result = simulate(config, grid, noise)
         bundle = result.bundle
         terminal = bundle.at_time(grid.steps)
         # at finite gamma the order is soft: dips up to about 1/sqrt(gamma)
@@ -50,7 +48,7 @@ def main():
         N=N, gamma=512.0, initial=TriangularConfiguration.zeros(N)
     )
     noise = sample_noise(Seed(2024, 0), grid, N)
-    result = simulate(tight, grid, noise, spec)
+    result = simulate(tight, grid, noise)
     spread = np.max(np.abs(result.bundle.values))
     print(f"gamma=512 keeps the array within {spread:.4f} of the start")
 

@@ -33,7 +33,7 @@ from .model import (
 )
 from .noise import Seed, sample_noise
 from .rate import LEMMA, default_coincidence_eps, total_rate
-from .sde import DomainError, IntegratorSpec, NonFiniteError, simulate
+from .sde import DomainError, NonFiniteError, simulate
 from .skorokhod import reflect_above, reflect_below
 from .mc import equivalence_experiment, interlace_event_frequency, ldp_slope
 from .varopt import VariationalProblem, minimize_rate
@@ -152,8 +152,7 @@ def _cmd_simulate(args) -> int:
     )
     grid = _grid(args.t0, args.t1, args.dt)
     noise = sample_noise(Seed(args.seed, args.replicate), grid, args.n)
-    spec = IntegratorSpec(scheme=args.scheme, drift_cap=args.drift_cap)
-    result = simulate(config, grid, noise, spec)
+    result = simulate(config, grid, noise)
     with _output(args.out) as f:
         bundle_to_csv(
             f,
@@ -355,11 +354,6 @@ def _build_parser() -> tuple[_Parser, dict]:
     p.add_argument("--t1", type=float, default=1.0)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--replicate", type=int, default=0)
-    p.add_argument(
-        "--scheme",
-        choices=["tamed-euler", "exact-edge", "reflected"],
-        default="tamed-euler",
-    )
     p.add_argument("--drift-cap", type=float, default=None)
     p.add_argument("--init", help="initial configuration CSV")
     p.add_argument("--out", help="output CSV (default stdout)")

@@ -22,15 +22,14 @@ from .model import (
     PathBundle,
     SamplePath,
     TimeGrid,
+    Topology,
+    tri_offset,
     tri_size,
 )
 from .noise import ensemble_increments
 from .rate import default_coincidence_eps, total_rate
 from .sde import (
-    IntegratorSpec,
-    default_drift_cap,
     ensemble_scan,
-    four_particle_scan,
     simulate_lower_barrier_euler,
     simulate_two_barrier,
 )
@@ -101,7 +100,6 @@ def _maxdev_batch(
     phi_vals: np.ndarray,
     seed: int,
     reps: range,
-    spec: IntegratorSpec,
 ):
     """Per-replicate sup deviation from the target bundle, plus clamp counts."""
     P = tri_size(config.N)
@@ -119,10 +117,15 @@ def _maxdev_batch(
     maxdev = np.zeros(R)
 
     def observe(i, vals):
-        dev = np.max(np.abs(vals - phi_vals[:, i]), axis=1)
+        dev = np.max(np.abs(vals - phi_vals[:, i, None]), axis=0)
         np.maximum(maxdev, dev, out=maxdev)
 
-    clamps = ensemble_scan(config, grid, inc, spec, observe=observe)
+    clamps = ensemble_scan(
+        Topology.triangle(config.N), config.initial.entries, inc,
+        config.gamma, grid.dt, config.drift_cap,
+        drifts=np.repeat(config.drifts, np.arange(1, config.N + 1)),
+        observe=observe,
+    )
     return maxdev, clamps
 
 
@@ -132,7 +135,6 @@ def smallball_probability(
     delta: float,
     n_samples: int,
     seed: int,
-    spec: IntegratorSpec | None = None,
     batch_size: int = 5000,
     n_workers: int = 1,
 ) -> EstimatorResult:
@@ -142,13 +144,10 @@ def smallball_probability(
         raise EmptySampleError("n_samples must be positive")
     if phi.N != config.N:
         raise ValueError("target bundle N does not match config")
-    spec = spec or IntegratorSpec()
     grid = phi.grid
 
     def work(reps):
-        maxdev, clamps = _maxdev_batch(
-            config, grid, phi.values, seed, reps, spec
-        )
+        maxdev, clamps = _maxdev_batch(config, grid, phi.values, seed, reps)
         return (
             int(np.count_nonzero(maxdev <= delta)),
             int(np.count_nonzero(clamps > 0)),
@@ -204,19 +203,17 @@ def ldp_slope(
     gammas,
     n_samples: int,
     seed: int,
-    spec: IntegratorSpec | None = None,
     eps: float | None = None,
     batch_size: int = 5000,
     n_workers: int = 1,
 ) -> SlopeFit:
     """Estimate the exponential decay rate of the small-ball probability.
 
-    Runs smallball_probability at each gamma (replicate streams are keyed
-    by gamma offset through the seed argument staying fixed: the same
-    replicate index at different gamma reuses the same Brownian increments,
-    which is fine since the estimates are independent across gamma) and
-    regresses -log p_hat on gamma.  The action of the target bundle is
-    attached for comparison.
+    Runs smallball_probability at each gamma with the same seed, so every
+    gamma reuses replicate r's Brownian increments (common random numbers):
+    the per-gamma estimates are correlated, not independent.  Then regresses
+    -log p_hat on gamma.  The action of the target bundle is attached for
+    comparison.
     """
     gammas = np.asarray(sorted(gammas), dtype=float)
     if gammas.size < 3:
@@ -226,7 +223,7 @@ def ldp_slope(
         cfg = dataclasses.replace(config, gamma=float(g))
         results.append(
             smallball_probability(
-                cfg, phi, delta, n_samples, seed, spec, batch_size, n_workers
+                cfg, phi, delta, n_samples, seed, batch_size, n_workers
             )
         )
     p = np.array([r.p_hat for r in results])
@@ -256,6 +253,11 @@ def ldp_slope(
 
 # ---------------------------------------------------------------------------
 # almost-interlaced event frequencies (four-particle system)
+
+# T0, T+, T-, T are the triangle's (1,1), (2,1), (2,2) and (3,2)
+_FOUR_PARTICLE = Topology.triangle(3).restrict(
+    [tri_offset(1, 1), tri_offset(2, 1), tri_offset(2, 2), tri_offset(3, 2)]
+)
 
 
 @dataclass(frozen=True)
@@ -298,7 +300,6 @@ def interlace_event_frequency(
         bounds = InterlaceBounds.from_gamma(gamma)
         f = margin_scale * bounds.f
         g = margin_scale * bounds.g
-        cap_g = default_drift_cap(gamma) if cap is None else cap
         a_bad = b_bad = c_bad = clamped = 0
         for reps in _batches(n_samples, batch_size):
             inc = ensemble_increments(seed, reps, grid, 4)
@@ -306,18 +307,16 @@ def interlace_event_frequency(
             mins = np.full((R, 5), np.inf)
 
             def observe(i, vals):
-                t0, tp, tm, t = (
-                    vals[:, 0],
-                    vals[:, 1],
-                    vals[:, 2],
-                    vals[:, 3],
-                )
+                t0, tp, tm, t = vals
                 gaps = np.column_stack(
                     [tp - t0, t0 - tm, tp - t, t - tm, tp - tm]
                 )
                 np.minimum(mins, gaps, out=mins)
 
-            clamps = four_particle_scan(gamma, grid, inc, cap_g, observe)
+            clamps = ensemble_scan(
+                _FOUR_PARTICLE, np.zeros(4), inc, gamma, grid.dt, cap,
+                observe=observe,
+            )
             a_bad += int(np.count_nonzero(np.min(mins[:, 0:2], axis=1) < -f))
             b_bad += int(
                 np.count_nonzero(np.min(mins[:, 2:4], axis=1) < -2 * g)

@@ -14,6 +14,7 @@ operations are pure, so everything is safe to share across workers.
 
 from __future__ import annotations
 
+import functools
 import io
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -28,6 +29,7 @@ __all__ = [
     "PathBundle",
     "ModelConfig",
     "InterlaceBounds",
+    "Topology",
     "tri_indices",
     "tri_offset",
     "tri_size",
@@ -78,6 +80,69 @@ def tri_offset(n: int, k: int) -> int:
 def tri_indices(N: int) -> list[TriIndex]:
     """All indices in level-major order: (1,1), (2,1), (2,2), (3,1), ..."""
     return [TriIndex(n, k) for n in range(1, N + 1) for k in range(1, n + 1)]
+
+
+@dataclass(frozen=True, eq=False)
+class Topology:
+    """Barrier graph of a particle system, one row per particle.
+
+    lower[p] is the row bounding row p from below (it pushes p up) and
+    upper[p] the row bounding it from above (it pushes p down); -1 means
+    none.  relations lists every order constraint T[hi] >= T[lo] as a row
+    pair (hi, lo): for each row in order, (upper[p], p) then (p, lower[p]).
+    """
+
+    lower: np.ndarray
+    upper: np.ndarray
+    relations: tuple = field(init=False)
+
+    def __post_init__(self):
+        lower = np.array(self.lower, dtype=np.intp)
+        upper = np.array(self.upper, dtype=np.intp)
+        if lower.ndim != 1 or lower.shape != upper.shape:
+            raise ValueError("lower and upper must be 1d and of equal length")
+        size = lower.size
+        rows = np.concatenate([lower, upper])
+        if np.any((rows < -1) | (rows >= size)):
+            raise ValueError("barrier rows must be -1 or a topology row")
+        lower.flags.writeable = False
+        upper.flags.writeable = False
+        rels = []
+        for p in range(size):
+            if upper[p] >= 0:
+                rels.append((int(upper[p]), p))
+            if lower[p] >= 0:
+                rels.append((p, int(lower[p])))
+        object.__setattr__(self, "lower", lower)
+        object.__setattr__(self, "upper", upper)
+        object.__setattr__(self, "relations", tuple(rels))
+
+    @property
+    def size(self) -> int:
+        return self.lower.size
+
+    @staticmethod
+    @functools.cache
+    def triangle(N: int) -> "Topology":
+        """The N-level triangle, rows in level-major order."""
+        def row(idx):
+            return -1 if idx is None else tri_offset(*idx)
+
+        idx = tri_indices(N)
+        return Topology(
+            [row(i.lower_barrier) for i in idx],
+            [row(i.upper_barrier) for i in idx],
+        )
+
+    def restrict(self, rows) -> "Topology":
+        """Sub-graph on the given rows, renumbered in the order given;
+        barriers outside the kept rows become -1."""
+        rows = list(rows)
+        new = {old: i for i, old in enumerate(rows)}
+        return Topology(
+            [new.get(int(self.lower[r]), -1) for r in rows],
+            [new.get(int(self.upper[r]), -1) for r in rows],
+        )
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -292,34 +357,18 @@ class InterlaceBounds:
 # interlacing checks
 
 
-def _interlace_relations(N: int):
-    """Pairs (hi, lo) of flat offsets with the constraint T[hi] >= T[lo].
-
-    Covers every relation T[n-1,k-1] >= T[n,k] and T[n,k] >= T[n-1,k].
-    """
-    rels = []
-    for n in range(2, N + 1):
-        for k in range(1, n + 1):
-            if k >= 2:
-                rels.append(
-                    (TriIndex(n - 1, k - 1), TriIndex(n, k))
-                )  # upper barrier above particle
-            if k <= n - 1:
-                rels.append((TriIndex(n, k), TriIndex(n - 1, k)))
-    return rels
-
-
 def validate_initial_entries(N: int, entries: np.ndarray) -> list:
     """Violated relations as (upper_index, lower_index, signed_defect).
 
     The defect is T[hi] - T[lo]; negative means the relation is violated.
     Tolerance is exactly zero: the order constraints are non-strict.
     """
+    idx = tri_indices(N)
     violations = []
-    for hi, lo in _interlace_relations(N):
-        defect = entries[tri_offset(*hi)] - entries[tri_offset(*lo)]
+    for hi, lo in Topology.triangle(N).relations:
+        defect = entries[hi] - entries[lo]
         if defect < 0:
-            violations.append((hi, lo, float(defect)))
+            violations.append((idx[hi], idx[lo], float(defect)))
     return violations
 
 
@@ -365,10 +414,10 @@ def interlacing_defect(
     """
     N = bundle.N
     vals = bundle.values
+    idx = tri_indices(N)
     defects = {}
-    for hi, lo in _interlace_relations(N):
-        d = float(np.min(vals[tri_offset(*hi)] - vals[tri_offset(*lo)]))
-        defects[(hi, lo)] = d
+    for hi, lo in Topology.triangle(N).relations:
+        defects[(idx[hi], idx[lo])] = float(np.min(vals[hi] - vals[lo]))
 
     # worst level-adjacent defect per level pair (n vs n+1)
     level_defects: dict[int, float] = {}

@@ -36,10 +36,17 @@ class Seed:
 
 
 def _particle_rng(seed: int, replicate: int, particle: int) -> Generator:
+    # seed and replicate are the two 64-bit key words.  Outside [0, 2**64)
+    # they would wrap onto another stream, so they are rejected; and they go
+    # in as uint64, because Philox reads a list of ints through float64,
+    # which rounds words above 2**53 and maps 2**64 - 1 to 0.
+    for name, value in (("seed", seed), ("replicate", replicate)):
+        if not 0 <= value < 2**64:
+            raise ValueError(f"{name} must be in [0, 2**64), got {value}")
+    key = np.array([seed, replicate], dtype=np.uint64)
     # counter block [0, particle+1, 0, 0]: particle streams sit 2**64 draws
     # apart, far beyond any path length
-    bit = Philox(key=[seed & 0xFFFFFFFFFFFFFFFF, replicate & 0xFFFFFFFFFFFFFFFF],
-                 counter=[0, particle + 1, 0, 0])
+    bit = Philox(key=key, counter=[0, particle + 1, 0, 0])
     return Generator(bit)
 
 

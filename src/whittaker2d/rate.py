@@ -33,6 +33,7 @@ from .model import (
     ModelConfig,
     PathBundle,
     SamplePath,
+    Topology,
     TriIndex,
     tri_indices,
 )
@@ -288,22 +289,22 @@ def total_rate(
     """
     if bundle.N != config.N:
         raise ValueError("bundle and config disagree on N")
+    topo = Topology.triangle(bundle.N)
+
+    def path(row):
+        return None if row < 0 else SamplePath(bundle.grid, bundle.values[row])
+
     terms = {}
     total = 0.0
     reason = "none"
     offending = None
-    for idx in tri_indices(bundle.N):
-        phi = bundle.path(idx.n, idx.k)
-        up = idx.upper_barrier
-        lo = idx.lower_barrier
-        upper = bundle.path(up.n, up.k) if up is not None else None
-        lower = bundle.path(lo.n, lo.k) if lo is not None else None
+    for p, idx in enumerate(tri_indices(bundle.N)):
         t = _particle_terms(
-            phi,
-            upper,
-            lower,
+            path(p),
+            path(topo.upper[p]),
+            path(topo.lower[p]),
             eps,
-            config.initial.value(idx.n, idx.k),
+            config.initial.entries[p],
             convention,
         )
         terms[idx] = t

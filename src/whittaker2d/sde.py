@@ -7,6 +7,9 @@ The drift of particle (n, k) is
 with either exponential absent when its barrier index leaves the triangle.
 Interactions are one-directional (level n reads only level n-1), so the
 system is triangular and explicit stepping matches the model structure.
+One stepper, ensemble_scan, runs every such system from its Topology: the
+triangle, the four-particle sub-system, or one particle between fixed
+barrier paths.
 
 The exponential drift is stiff; the Euler stepper tames it by clamping the
 net drift to +-D with D = exp(0.25 * gamma) by default, and reports every
@@ -17,7 +20,7 @@ finite at any gamma.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,24 +30,20 @@ from .model import (
     PathBundle,
     SamplePath,
     TimeGrid,
-    tri_indices,
-    tri_offset,
+    Topology,
     tri_size,
 )
 from .noise import NoiseBundle
 
 __all__ = [
-    "IntegratorSpec",
     "TruncationLevels",
     "SimulationResult",
     "NonFiniteError",
     "DomainError",
     "simulate",
     "ensemble_scan",
-    "four_particle_scan",
     "simulate_truncated",
     "solve_edge_exact",
-    "simulate_tilde0",
     "simulate_lower_barrier_euler",
     "simulate_two_barrier",
     "equivalence_gap",
@@ -82,28 +81,6 @@ def default_drift_cap(gamma: float, g_cap: float = 0.25) -> float:
 
 
 @dataclass(frozen=True)
-class IntegratorSpec:
-    """Stepping choices.  drift_cap None means the default exp(0.25*gamma)."""
-
-    scheme: str = "tamed-euler"
-    drift_cap: float | None = None
-    g_cap: float = 0.25
-
-    def __post_init__(self):
-        if self.scheme not in ("tamed-euler", "exact-edge", "reflected"):
-            raise ValueError(f"unknown scheme {self.scheme!r}")
-        if self.drift_cap is not None and self.drift_cap <= 0:
-            raise ValueError("drift_cap must be positive")
-
-    def cap(self, config: ModelConfig) -> float:
-        if self.drift_cap is not None:
-            return self.drift_cap
-        if config.drift_cap is not None:
-            return config.drift_cap
-        return default_drift_cap(config.gamma, self.g_cap)
-
-
-@dataclass(frozen=True)
 class TruncationLevels:
     """Per-level cutoffs L_1 <= L_2 <= ... <= L_N for the truncated system."""
 
@@ -132,121 +109,136 @@ class SimulationResult:
 
 
 # ---------------------------------------------------------------------------
-# vectorized triangle stepping
-
-
-def _neighbor_tables(N: int):
-    """Index arrays describing each particle's barriers and level.
-
-    Returns (up_src, has_up, down_src, has_down, level) where up_src[p] is
-    the flat offset of the lower barrier (n-1, k) pushing particle p up, and
-    down_src[p] is the upper barrier (n-1, k-1) pushing it down.
-    """
-    P = tri_size(N)
-    up_src = np.zeros(P, dtype=int)
-    down_src = np.zeros(P, dtype=int)
-    has_up = np.zeros(P, dtype=bool)
-    has_down = np.zeros(P, dtype=bool)
-    level = np.zeros(P, dtype=int)
-    for idx in tri_indices(N):
-        p = tri_offset(idx.n, idx.k)
-        level[p] = idx.n
-        lo = idx.lower_barrier
-        if lo is not None:
-            up_src[p] = tri_offset(lo.n, lo.k)
-            has_up[p] = True
-        hi = idx.upper_barrier
-        if hi is not None:
-            down_src[p] = tri_offset(hi.n, hi.k)
-            has_down[p] = True
-    return up_src, has_up, down_src, has_down, level
-
-
-def _triangle_drift(vals, gamma, tables, drifts, levels_cap):
-    """Clamp-free drift for state array vals of shape (..., P)."""
-    up_src, has_up, down_src, has_down, level = tables
-    if levels_cap is None:
-        v = vals
-    else:
-        caps = levels_cap[level - 1]
-        v = np.clip(vals, -caps, caps)
-    ex_up = gamma * (v[..., up_src] - v)
-    ex_dn = gamma * (v - v[..., down_src])
-    push_up = np.where(has_up, np.exp(np.minimum(ex_up, _EXP_MAX)), 0.0)
-    push_dn = np.where(has_down, np.exp(np.minimum(ex_dn, _EXP_MAX)), 0.0)
-    return drifts[level - 1] + push_up - push_dn
+# the tamed Euler stepper
 
 
 def ensemble_scan(
-    config: ModelConfig,
-    grid: TimeGrid,
+    topology: Topology,
+    start,
     increments: np.ndarray,
-    spec: IntegratorSpec | None = None,
-    truncation: TruncationLevels | None = None,
+    gamma: float,
+    dt: float,
+    cap: float | None,
+    drifts=None,
+    truncation=None,
+    barriers=None,
     observe=None,
-):
-    """Step an ensemble of replicates and stream the states to an observer.
+) -> np.ndarray:
+    """Step an ensemble of replicates of the system wired by topology.
 
-    increments has shape (R, P, M).  observe(i, vals) is called with the
-    state array (R, P) at every grid index i, including i = 0.  Returns the
-    per-replicate clamp-event counts, shape (R,).
+    increments has shape (R, P, M) of raw Normal(0, dt) draws for the P
+    moving rows; start holds their P start values.  barriers, shape
+    (F, M+1), are the paths of the topology's last F rows, which are fixed:
+    they are written into the state at every grid index instead of being
+    stepped.  drifts (the constant a of each moving row) and truncation
+    (each moving row's cutoff L: T inside a drift exponent is replaced by
+    clip(T, -L, L)) have length P.  cap None means default_drift_cap(gamma).
+
+    The step is T <- T + dW / sqrt(gamma) + clamp(drift, +-cap) * dt with
+    the whole state read at the start of the step.  observe(i, vals) is
+    called with the moving rows' state, shape (P, R), at every grid index i
+    including i = 0; the array is a view that the next step overwrites.
+    Returns the per-replicate clamp-event counts, shape (R,).
     """
-    spec = spec or IntegratorSpec()
-    if spec.scheme != "tamed-euler":
-        raise ValueError(f"scheme {spec.scheme!r} is not a triangle stepper")
     R, P, M = increments.shape
-    if P != tri_size(config.N) or M != grid.steps:
-        raise ValueError("increments shape does not match config/grid")
-    tables = _neighbor_tables(config.N)
-    cap = spec.cap(config)
-    gamma = config.gamma
-    dt = grid.dt
+    F = 0 if barriers is None else barriers.shape[0]
+    if topology.size != P + F:
+        raise ValueError("increments and barriers do not match the topology")
+    if F and barriers.shape != (F, M + 1):
+        raise ValueError("barriers must have one value per grid point")
+    if np.shape(start) != (P,):
+        raise ValueError("start must hold one value per moving row")
+    cap = default_drift_cap(gamma) if cap is None else cap
     sqg = np.sqrt(gamma)
-    levels_cap = None if truncation is None else truncation.levels
-    if levels_cap is not None and levels_cap.shape != (config.N,):
-        raise ValueError("truncation levels must have one entry per level")
+    lower, upper = topology.lower[:P], topology.upper[:P]
+    pushed_up = np.flatnonzero(lower >= 0)
+    pushed_dn = np.flatnonzero(upper >= 0)
+    n_up, n_dn = pushed_up.size, pushed_dn.size
+    # edge e carries exp(gamma * (v[hi[e]] - v[lo[e]])); upward pushes first
+    hi = np.concatenate([lower[pushed_up], pushed_dn])
+    lo = np.concatenate([pushed_up, upper[pushed_dn]])
+    E = n_up + n_dn
+    # row E of push stays 0: the push a row gets from a missing barrier
+    up_edge = np.full(P, E)
+    up_edge[pushed_up] = np.arange(n_up)
+    dn_edge = np.full(P, E)
+    dn_edge[pushed_dn] = n_up + np.arange(n_dn)
+    base = np.zeros((P, 1)) if drifts is None else np.reshape(drifts, (P, 1))
+    if truncation is not None:
+        lim = np.concatenate([truncation, np.full(F, np.inf)])[:, None]
 
-    vals = np.tile(config.initial.entries, (R, 1))
-    clamps = np.zeros(R, dtype=int)
+    x = np.empty((P + F, R))
+    xp = x[:P]
+    xp[:] = np.reshape(start, (P, 1))
+    if F:
+        x[P:] = barriers[:, :1]
+    gap, far = np.empty((E, R)), np.empty((E, R))
+    push = np.zeros((E + 1, R))
+    drift, down, tamed, step = (np.empty((P, R)) for _ in range(4))
+    clamped = np.empty((P, R), dtype=bool)
+    clamps = np.zeros((P, R), dtype=int)
     if observe is not None:
-        observe(0, vals)
+        observe(0, xp)
     for i in range(M):
-        drift = _triangle_drift(vals, gamma, tables, config.drifts, levels_cap)
-        tamed = np.clip(drift, -cap, cap)
-        clamps += np.count_nonzero(tamed != drift, axis=-1)
-        vals = vals + increments[:, :, i] / sqg + tamed * dt
-        if not np.all(np.isfinite(vals)):
-            bad = np.argwhere(~np.isfinite(vals))[0]
+        v = x if truncation is None else np.clip(x, -lim, lim)
+        np.take(v, hi, axis=0, out=gap, mode="clip")
+        np.take(v, lo, axis=0, out=far, mode="clip")
+        np.subtract(gap, far, out=gap)
+        np.multiply(gap, gamma, out=gap)
+        np.minimum(gap, _EXP_MAX, out=gap)
+        np.exp(gap, out=push[:E])
+        np.take(push, up_edge, axis=0, out=drift, mode="clip")
+        np.add(base, drift, out=drift)
+        np.take(push, dn_edge, axis=0, out=down, mode="clip")
+        np.subtract(drift, down, out=drift)
+        np.maximum(drift, -cap, out=tamed)
+        np.minimum(tamed, cap, out=tamed)
+        np.not_equal(tamed, drift, out=clamped)
+        clamps += clamped
+        np.divide(increments[:, :, i].T, sqg, out=step)
+        xp += step
+        np.multiply(tamed, dt, out=tamed)
+        xp += tamed
+        if not np.isfinite(xp).all():
+            bad = np.argwhere(~np.isfinite(xp.T))[0]
             raise NonFiniteError(step=i + 1, particle=int(bad[-1]))
+        if F:
+            x[P:] = barriers[:, i + 1 : i + 2]
         if observe is not None:
-            observe(i + 1, vals)
-    return clamps
+            observe(i + 1, xp)
+    return clamps.sum(axis=0)
 
 
-def _run_single(config, grid, noise, spec, truncation):
+def _run_single(config, grid, noise, truncation):
+    N = config.N
+    rows_per_level = np.arange(1, N + 1)
+    if truncation is not None:
+        if truncation.levels.shape != (N,):
+            raise ValueError("truncation levels must have one entry per level")
+        truncation = np.repeat(truncation.levels, rows_per_level)
     inc = noise.increments[None, :, :]
-    out = np.empty((tri_size(config.N), grid.npoints))
+    if inc.shape[1:] != (tri_size(N), grid.steps):
+        raise ValueError("noise shape does not match config/grid")
+    out = np.empty((tri_size(N), grid.npoints))
 
     def keep(i, vals):
-        out[:, i] = vals[0]
+        out[:, i] = vals[:, 0]
 
-    clamps = ensemble_scan(config, grid, inc, spec, truncation, keep)
-    return SimulationResult(PathBundle(config.N, grid, out), int(clamps[0]))
+    clamps = ensemble_scan(
+        Topology.triangle(N), config.initial.entries, inc, config.gamma,
+        grid.dt, config.drift_cap,
+        drifts=np.repeat(config.drifts, rows_per_level),
+        truncation=truncation, observe=keep,
+    )
+    return SimulationResult(PathBundle(N, grid, out), int(clamps[0]))
 
 
 def simulate(
-    config: ModelConfig,
-    grid: TimeGrid,
-    noise: NoiseBundle,
-    spec: IntegratorSpec | None = None,
+    config: ModelConfig, grid: TimeGrid, noise: NoiseBundle
 ) -> SimulationResult:
-    """Tamed Euler run of the full triangle from config.initial.
-
-    The step is T <- T + dW / sqrt(gamma) + clamp(drift, +-D) * dt with the
-    whole state read at the start of the step (the interaction graph is
-    one-directional, so this is the natural explicit scheme).
-    """
-    return _run_single(config, grid, noise, spec, None)
+    """Tamed Euler run of the full triangle from config.initial, with the
+    taming cap config.drift_cap (default exp(0.25 * gamma))."""
+    return _run_single(config, grid, noise, None)
 
 
 def simulate_truncated(
@@ -254,12 +246,11 @@ def simulate_truncated(
     grid: TimeGrid,
     noise: NoiseBundle,
     truncation: TruncationLevels,
-    spec: IntegratorSpec | None = None,
 ) -> SimulationResult:
     """Same stepper, but every T inside a drift exponent is replaced by its
     level cutoff clip(T, -L_n, L_n).  With inactive cutoffs the output is
     bit-identical to simulate under the same noise."""
-    return _run_single(config, grid, noise, spec, truncation)
+    return _run_single(config, grid, noise, truncation)
 
 
 # ---------------------------------------------------------------------------
@@ -291,15 +282,28 @@ def solve_edge_exact(
     return SamplePath(grid, start + x - x[0] + lift)
 
 
-def simulate_tilde0(
-    phi_minus: SamplePath, driver: np.ndarray, start: float, gamma: float
-) -> SamplePath:
-    """Single-particle approximation with only the lower barrier active.
+# one particle between fixed barrier paths: row 0 moves, rows 1.. are fixed
+_LOWER_ONLY = Topology([1, -1], [-1, -1])
+_TWO_BARRIER = Topology([1, -1, -1], [2, -1, -1])
 
-    Identical formula to solve_edge_exact with the barrier a fixed function;
-    kept as its own entry point because it is the object the equivalence
-    experiments couple against."""
-    return solve_edge_exact(phi_minus, driver, start, gamma)
+
+def _single_particle(topology, barriers, increments, start, gamma, cap):
+    grid = barriers[0].grid
+    if any(b.grid != grid for b in barriers):
+        raise ValueError("barriers must share a grid")
+    R, M = increments.shape
+    if M != grid.steps:
+        raise ValueError("increments do not match the barrier grid")
+    out = np.empty((M + 1, R))
+
+    def keep(i, vals):
+        out[i] = vals[0]
+
+    ensemble_scan(
+        topology, [start], increments[:, None, :], gamma, grid.dt, cap,
+        barriers=np.stack([b.values for b in barriers]), observe=keep,
+    )
+    return out.T
 
 
 def simulate_lower_barrier_euler(
@@ -314,21 +318,9 @@ def simulate_lower_barrier_euler(
     increments has shape (R, M) of raw Normal(0, dt) draws; returns paths of
     shape (R, M+1).
     """
-    grid = phi_minus.grid
-    R, M = increments.shape
-    if M != grid.steps:
-        raise ValueError("increments do not match the barrier grid")
-    cap = default_drift_cap(gamma) if cap is None else cap
-    dt = grid.dt
-    sqg = np.sqrt(gamma)
-    out = np.empty((R, M + 1))
-    out[:, 0] = start
-    b = phi_minus.values
-    for i in range(M):
-        ex = gamma * (b[i] - out[:, i])
-        drift = np.clip(np.exp(np.minimum(ex, _EXP_MAX)), None, cap)
-        out[:, i + 1] = out[:, i] + increments[:, i] / sqg + drift * dt
-    return out
+    return _single_particle(
+        _LOWER_ONLY, [phi_minus], increments, start, gamma, cap
+    )
 
 
 def simulate_two_barrier(
@@ -348,72 +340,9 @@ def simulate_two_barrier(
     gamma = 1 this is also the bounded-coefficient particle used for the
     escape-probability experiments.
     """
-    grid = phi_minus.grid
-    if phi_plus.grid != grid:
-        raise ValueError("barriers must share a grid")
-    R, M = increments.shape
-    if M != grid.steps:
-        raise ValueError("increments do not match the barrier grid")
-    cap = default_drift_cap(gamma) if cap is None else cap
-    dt = grid.dt
-    sqg = np.sqrt(gamma)
-    out = np.empty((R, M + 1))
-    out[:, 0] = start
-    lo = phi_minus.values
-    hi = phi_plus.values
-    for i in range(M):
-        t = out[:, i]
-        up = np.exp(np.minimum(gamma * (lo[i] - t), _EXP_MAX))
-        dn = np.exp(np.minimum(gamma * (t - hi[i]), _EXP_MAX))
-        drift = np.clip(up - dn, -cap, cap)
-        out[:, i + 1] = t + increments[:, i] / sqg + drift * dt
-    return out
-
-
-def four_particle_scan(
-    gamma: float,
-    grid: TimeGrid,
-    increments: np.ndarray,
-    cap: float | None = None,
-    observe=None,
-) -> np.ndarray:
-    """Step the four-particle sub-system T0, T+, T-, T from zero starts.
-
-    T0 is free, T+ is pushed up by T0, T- is pushed down by T0, and T sits
-    between T- and T+.  increments has shape (R, 4, M) in that particle
-    order; observe(i, vals) receives the (R, 4) state at every grid index.
-    Returns per-replicate clamp counts.
-    """
-    R, P, M = increments.shape
-    if P != 4 or M != grid.steps:
-        raise ValueError("increments must have shape (R, 4, M)")
-    cap = default_drift_cap(gamma) if cap is None else cap
-    dt = grid.dt
-    sqg = np.sqrt(gamma)
-    vals = np.zeros((R, 4))
-    clamps = np.zeros(R, dtype=int)
-    if observe is not None:
-        observe(0, vals)
-    for i in range(M):
-        t0, tp, tm, t = vals[:, 0], vals[:, 1], vals[:, 2], vals[:, 3]
-        e = lambda x: np.exp(np.minimum(gamma * x, _EXP_MAX))  # noqa: E731
-        drift = np.column_stack(
-            [
-                np.zeros(R),
-                e(t0 - tp),
-                -e(tm - t0),
-                e(tm - t) - e(t - tp),
-            ]
-        )
-        tamed = np.clip(drift, -cap, cap)
-        clamps += np.count_nonzero(tamed != drift, axis=-1)
-        vals = vals + increments[:, :, i] / sqg + tamed * dt
-        if not np.all(np.isfinite(vals)):
-            bad = np.argwhere(~np.isfinite(vals))[0]
-            raise NonFiniteError(step=i + 1, particle=int(bad[-1]))
-        if observe is not None:
-            observe(i + 1, vals)
-    return clamps
+    return _single_particle(
+        _TWO_BARRIER, [phi_minus, phi_plus], increments, start, gamma, cap
+    )
 
 
 # ---------------------------------------------------------------------------

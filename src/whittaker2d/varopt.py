@@ -21,9 +21,8 @@ from .model import (
     PathBundle,
     SamplePath,
     TimeGrid,
+    Topology,
     TriangularConfiguration,
-    tri_indices,
-    tri_offset,
     validate_initial_entries,
 )
 from .rate import LEMMA, CellLabel, classify
@@ -69,16 +68,9 @@ def _project_interlacing(vals: np.ndarray, N: int, sweeps: int = 60) -> None:
     any violating pair; a handful of sweeps suffice in practice because the
     pairwise averaging is a contraction toward the cone.
     """
-    pairs = []
-    for n in range(2, N + 1):
-        for k in range(1, n + 1):
-            if k >= 2:
-                pairs.append((tri_offset(n - 1, k - 1), tri_offset(n, k)))
-            if k <= n - 1:
-                pairs.append((tri_offset(n, k), tri_offset(n - 1, k)))
     for _ in range(sweeps):
         clean = True
-        for hi, lo in pairs:
+        for hi, lo in Topology.triangle(N).relations:
             gap = vals[hi] - vals[lo]
             bad = gap < 0
             if np.any(bad):
@@ -97,16 +89,16 @@ def _objective_and_grad(
     dt = grid.dt
     slopes = np.diff(vals, axis=1) / dt
     pen_slope = slopes.copy()
-    for idx in tri_indices(N):
-        p = tri_offset(idx.n, idx.k)
-        up = idx.upper_barrier
-        lo = idx.lower_barrier
-        if up is None and lo is None:
+    topo = Topology.triangle(N)
+
+    def path(row):
+        return None if row < 0 else SamplePath(grid, vals[row])
+
+    for p in range(topo.size):
+        up, lo = topo.upper[p], topo.lower[p]
+        if up < 0 and lo < 0:
             continue
-        phi = SamplePath(grid, vals[p])
-        upper = SamplePath(grid, vals[tri_offset(up.n, up.k)]) if up else None
-        lower = SamplePath(grid, vals[tri_offset(lo.n, lo.k)]) if lo else None
-        labels = classify(phi, upper, lower, eps).labels
+        labels = classify(path(p), path(up), path(lo), eps).labels
         s = pen_slope[p]
         if convention == LEMMA:
             s[labels == CellLabel.LOWER_COINCIDENT] = np.minimum(

@@ -135,6 +135,12 @@ def test_usage_error_exit_code(capsys):
     assert code == 1
 
 
+def test_simulate_rejects_negative_seed(capsys):
+    code, _, err = run(["simulate", "--seed", "-1", "--dt", "0.1"], capsys)
+    assert code == 1
+    assert "seed" in err
+
+
 def test_optimize_round_trip(tmp_path, capsys):
     init = tmp_path / "init.csv"
     term = tmp_path / "term.csv"

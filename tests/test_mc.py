@@ -3,7 +3,6 @@ import pytest
 from scipy.special import ndtr
 
 from whittaker2d import (
-    IntegratorSpec,
     ModelConfig,
     PathBundle,
     TimeGrid,
@@ -21,9 +20,9 @@ def _flat_target(N, grid):
     return PathBundle.constant(N, grid, TriangularConfiguration.zeros(N))
 
 
-def _cfg(N, gamma):
+def _cfg(N, gamma, **kw):
     return ModelConfig(
-        N=N, gamma=gamma, initial=TriangularConfiguration.zeros(N)
+        N=N, gamma=gamma, initial=TriangularConfiguration.zeros(N), **kw
     )
 
 
@@ -105,12 +104,7 @@ def test_contamination_marks_untrusted():
     grid = TimeGrid(0.0, 1.0, 50)
     phi = _flat_target(2, grid)
     est = smallball_probability(
-        _cfg(2, 8.0),
-        phi,
-        5.0,
-        200,
-        seed=2,
-        spec=IntegratorSpec(drift_cap=1e-6),
+        _cfg(2, 8.0, drift_cap=1e-6), phi, 5.0, 200, seed=2
     )
     assert est.clamp_contamination == 1.0
     assert not est.trusted

@@ -11,6 +11,7 @@ from whittaker2d import (
     PathBundle,
     SamplePath,
     TimeGrid,
+    Topology,
     TriangularConfiguration,
     TriIndex,
     bundle_from_csv,
@@ -53,6 +54,31 @@ def test_tri_layout_level_major():
     ]
     for i, (n, k) in enumerate(idx):
         assert tri_offset(n, k) == i
+
+
+def test_topology_triangle_relations_order():
+    # for each (n, k) in level-major order: the upper barrier above the
+    # particle, then the particle above its lower barrier
+    expect = []
+    for n in range(2, 5):
+        for k in range(1, n + 1):
+            if k >= 2:
+                expect.append(((n - 1, k - 1), (n, k)))
+            if k <= n - 1:
+                expect.append(((n, k), (n - 1, k)))
+    idx = tri_indices(4)
+    got = [(idx[hi], idx[lo]) for hi, lo in Topology.triangle(4).relations]
+    assert got == expect
+    assert Topology.triangle(4) is Topology.triangle(4)
+
+
+def test_topology_restrict_renumbers_and_drops_barriers():
+    # T0, T+, T-, T: the four-particle sub-graph of the N=3 triangle
+    four = Topology.triangle(3).restrict([0, 1, 2, 4])
+    np.testing.assert_array_equal(four.lower, [-1, 0, -1, 2])
+    np.testing.assert_array_equal(four.upper, [-1, -1, 0, 1])
+    with pytest.raises(ValueError):
+        Topology([1], [-1])
 
 
 def test_tri_index_validate():

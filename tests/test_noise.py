@@ -32,6 +32,32 @@ def test_seeds_differ():
     assert not np.array_equal(a.increments, b.increments)
 
 
+def test_key_words_outside_64_bits_rejected():
+    grid = TimeGrid(0.0, 1.0, 10)
+    with pytest.raises(ValueError, match="seed"):
+        ensemble_increments(-1, range(2), grid, 1)
+    with pytest.raises(ValueError, match="seed"):
+        sample_increments(2**64, 0, grid, 1)
+    with pytest.raises(ValueError, match="replicate"):
+        ensemble_increments(0, range(-1, 1), grid, 1)
+
+
+def test_large_key_words_name_their_own_streams():
+    # words above 2**53 must not be rounded onto a neighbour, nor 2**64 - 1
+    # onto 0
+    grid = TimeGrid(0.0, 1.0, 10)
+    top = sample_increments(2**64 - 1, 0, grid, 1)
+    assert not np.array_equal(top, sample_increments(0, 0, grid, 1))
+    assert not np.array_equal(
+        sample_increments(2**63, 0, grid, 1),
+        sample_increments(2**63 + 1, 0, grid, 1),
+    )
+    assert not np.array_equal(
+        sample_increments(0, 2**64 - 1, grid, 1),
+        sample_increments(0, 0, grid, 1),
+    )
+
+
 def test_particle_slices_are_addressable():
     # a particle's stream does not depend on how many other streams exist
     grid = TimeGrid(0.0, 1.0, 50)

@@ -3,22 +3,22 @@ import pytest
 
 from whittaker2d import (
     DomainError,
-    IntegratorSpec,
     ModelConfig,
     NoiseBundle,
+    NonFiniteError,
     SamplePath,
     Seed,
     TimeGrid,
+    Topology,
     TriangularConfiguration,
     TruncationLevels,
     default_drift_cap,
+    ensemble_scan,
     equivalence_gap,
     escape_probability_bound,
-    four_particle_scan,
     sample_noise,
     simulate,
     simulate_lower_barrier_euler,
-    simulate_tilde0,
     simulate_truncated,
     simulate_two_barrier,
     solve_edge_exact,
@@ -128,23 +128,18 @@ def test_truncation_levels_validation():
         TruncationLevels(np.array([-1.0]))
 
 
-def test_integrator_spec_validation():
+def test_drift_cap_validation():
     with pytest.raises(ValueError):
-        IntegratorSpec(scheme="milstein")
-    with pytest.raises(ValueError):
-        IntegratorSpec(drift_cap=-1.0)
+        _config(1, 8.0, drift_cap=-1.0)
     assert default_drift_cap(8.0) == pytest.approx(np.exp(2.0))
-    cfg = _config(1, 8.0)
-    assert IntegratorSpec().cap(cfg) == pytest.approx(np.exp(2.0))
-    assert IntegratorSpec(drift_cap=5.0).cap(cfg) == 5.0
 
 
 def test_clamp_events_counted():
     # at a fully glued start the edge pushes are exactly 1, above a 0.5 cap
     grid = TimeGrid(0.0, 0.01, 10)
-    cfg = _config(2, 8.0)
+    cfg = _config(2, 8.0, drift_cap=0.5)
     noise = NoiseBundle.zero(grid, 3)
-    res = simulate(cfg, grid, noise, IntegratorSpec(drift_cap=0.5))
+    res = simulate(cfg, grid, noise)
     assert res.clamp_events > 0
 
 
@@ -154,7 +149,7 @@ def test_tilde0_far_barrier_is_nearly_free():
     noise = sample_noise(Seed(6), grid, 1)
     x = np.concatenate(([0.0], np.cumsum(noise.increments[0]))) / np.sqrt(gamma)
     barrier = SamplePath.constant(grid, -10.0)
-    out = simulate_tilde0(barrier, x, 0.0, gamma)
+    out = solve_edge_exact(barrier, x, 0.0, gamma)
     # drift bounded by exp(-gamma * clearance) whenever the path stays above
     # the barrier neighborhood; with W/sqrt(gamma) excursions ~1 the bound
     # exp(-4 * 8) over unit time is generous
@@ -165,20 +160,9 @@ def test_tilde0_glued_barrier_analytic():
     gamma = 16.0
     grid = TimeGrid(0.0, 1.0, 4000)
     barrier = SamplePath.constant(grid, 0.5)
-    out = simulate_tilde0(barrier, np.zeros(grid.npoints), 0.5, gamma)
+    out = solve_edge_exact(barrier, np.zeros(grid.npoints), 0.5, gamma)
     expect = 0.5 + np.log1p(gamma * grid.times) / gamma
     assert np.max(np.abs(out.values - expect)) < 1e-6
-
-
-def test_tilde0_is_edge_exact_specialization():
-    gamma = 8.0
-    grid = TimeGrid(0.0, 0.5, 300)
-    noise = sample_noise(Seed(7), grid, 1)
-    x = np.concatenate(([0.0], np.cumsum(noise.increments[0])))
-    barrier = SamplePath.from_function(grid, lambda t: np.sin(3 * t) - 0.2)
-    a = simulate_tilde0(barrier, x, 0.1, gamma)
-    b = solve_edge_exact(barrier, x, 0.1, gamma)
-    np.testing.assert_array_equal(a.values, b.values)
 
 
 def test_edge_exact_honors_start_and_grid_checks():
@@ -224,6 +208,9 @@ def test_two_barrier_reduces_to_one_when_upper_is_far():
     np.testing.assert_array_equal(both, one)
 
 
+FOUR_PARTICLE = Topology.triangle(3).restrict([0, 1, 2, 4])
+
+
 def test_four_particle_scan_shapes_and_symmetry():
     gamma = 16.0
     grid = TimeGrid(0.0, 1.0, 500)
@@ -233,20 +220,85 @@ def test_four_particle_scan_shapes_and_symmetry():
     def observe(i, vals):
         states.append(vals.copy())
 
-    clamps = four_particle_scan(gamma, grid, inc, observe=observe)
+    clamps = ensemble_scan(
+        FOUR_PARTICLE, np.zeros(4), inc, gamma, grid.dt, None,
+        observe=observe,
+    )
     assert clamps.shape == (6,)
     assert len(states) == grid.npoints
-    path = np.stack(states, axis=-1)  # (R, 4, M+1)
+    path = np.stack(states, axis=-1)  # (4, R, M+1)
     # T0 is free: exact cumulative sum of its own stream
     expect = np.concatenate(
         (np.zeros((6, 1)), np.cumsum(inc[:, 0, :] / np.sqrt(gamma), axis=1)),
         axis=1,
     )
-    np.testing.assert_allclose(path[:, 0, :], expect, atol=1e-12)
+    np.testing.assert_allclose(path[0], expect, atol=1e-12)
     # T sits between the pushed particles most of the time; sanity: finite
     assert np.all(np.isfinite(path))
     with pytest.raises(ValueError):
-        four_particle_scan(gamma, grid, inc[:, :3, :])
+        ensemble_scan(
+            FOUR_PARTICLE, np.zeros(3), inc[:, :3, :], gamma, grid.dt, None
+        )
+
+
+def _reference_scan(topology, start, increments, gamma, dt, cap, barriers):
+    """Tamed Euler one particle and one replicate at a time, written from
+    the drift formula: exp(gamma (lower - T)) - exp(gamma (T - upper)),
+    exponents capped at 700, drift clamped to +-cap."""
+    R, P, M = increments.shape
+    paths = np.zeros((R, topology.size, M + 1))
+    clamps = np.zeros(R, dtype=int)
+    for r in range(R):
+        T = paths[r]
+        T[:P, 0] = start
+        T[P:] = barriers
+        for i in range(M):
+            for p in range(P):
+                lo, up = topology.lower[p], topology.upper[p]
+                drift = 0.0
+                if lo >= 0:
+                    drift += np.exp(min(gamma * (T[lo, i] - T[p, i]), 700.0))
+                if up >= 0:
+                    drift -= np.exp(min(gamma * (T[p, i] - T[up, i]), 700.0))
+                tamed = min(max(drift, -cap), cap)
+                clamps[r] += tamed != drift
+                T[p, i + 1] = (
+                    T[p, i] + increments[r, p, i] / np.sqrt(gamma) + tamed * dt
+                )
+    return paths[:, :P], clamps
+
+
+@pytest.mark.parametrize(
+    "topology, barriers",
+    [
+        (Topology.triangle(3), []),
+        (FOUR_PARTICLE, []),
+        (Topology([1, -1], [-1, -1]), [lambda t: np.sin(5 * t)]),
+        (Topology([1, -1, -1], [2, -1, -1]), [lambda t: -t, lambda t: t * t]),
+    ],
+    ids=["triangle3", "four-particle", "lower-barrier", "two-barrier"],
+)
+def test_scan_matches_reference_loop(topology, barriers):
+    gamma, cap = 32.0, 0.5
+    grid = TimeGrid(0.0, 0.5, 120)
+    fixed = np.array([f(grid.times) for f in barriers]).reshape(
+        len(barriers), grid.npoints
+    )
+    P = topology.size - len(barriers)
+    inc = ensemble_increments(12, range(3), grid, P)
+    start = np.zeros(P)
+    states = []
+    clamps = ensemble_scan(
+        topology, start, inc, gamma, grid.dt, cap, barriers=fixed,
+        observe=lambda i, vals: states.append(vals.T.copy()),
+    )
+    got = np.stack(states, axis=-1)  # (R, P, M+1)
+    expect, expect_clamps = _reference_scan(
+        topology, start, inc, gamma, grid.dt, cap, fixed
+    )
+    np.testing.assert_array_equal(got, expect)
+    np.testing.assert_array_equal(clamps, expect_clamps)
+    assert expect_clamps.sum() > 0
 
 
 def test_equivalence_gap_budget_value():
@@ -273,14 +325,26 @@ def test_escape_bound_arithmetic():
         escape_probability_bound(0.0, 1.0, 1.0, 1.0)
 
 
-def test_scan_rejects_mismatched_shapes():
-    from whittaker2d import ensemble_scan
+def test_scan_non_finite_guard():
+    inc = np.zeros((2, 3, 10))
+    inc[1, 2, 3] = np.inf
+    with pytest.raises(NonFiniteError) as err:
+        ensemble_scan(Topology.triangle(2), np.zeros(3), inc, 8.0, 0.1, None)
+    assert (err.value.step, err.value.particle) == (4, 2)
 
+
+def test_scan_rejects_mismatched_shapes():
     grid = TimeGrid(0.0, 1.0, 10)
-    cfg = _config(2, 8.0)
+    tri = Topology.triangle(2)
     with pytest.raises(ValueError):
-        ensemble_scan(cfg, grid, np.zeros((2, 3, 9)))
+        ensemble_scan(tri, np.zeros(2), np.zeros((2, 2, 10)), 8.0, 0.1, None)
+    with pytest.raises(ValueError):
+        ensemble_scan(tri, np.zeros(2), np.zeros((2, 3, 10)), 8.0, 0.1, None)
+    one_barrier = Topology([1, -1], [-1, -1])
     with pytest.raises(ValueError):
         ensemble_scan(
-            cfg, grid, np.zeros((2, 3, 10)), IntegratorSpec(scheme="exact-edge")
+            one_barrier, np.zeros(1), np.zeros((2, 1, 10)), 8.0, 0.1, None,
+            barriers=np.zeros((1, 10)),
         )
+    with pytest.raises(ValueError):
+        simulate(_config(2, 8.0), grid, NoiseBundle.zero(TimeGrid(0, 1, 9), 3))
