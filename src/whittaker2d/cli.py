@@ -14,7 +14,6 @@ import argparse
 import contextlib
 import dataclasses
 import json
-import os
 import sys
 
 import numpy as np
@@ -50,18 +49,6 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         raise UsageError(message)
-
-
-def _threads(value: int | None) -> int:
-    if value is not None:
-        return value
-    env = os.environ.get("WHITTAKER_THREADS")
-    if env is not None:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise UsageError(f"WHITTAKER_THREADS={env!r} is not an integer")
-    return os.cpu_count() or 1
 
 
 def _gamma_list(text: str) -> list[float]:
@@ -238,7 +225,6 @@ def _cmd_slope(args) -> int:
         args.gammas,
         args.samples,
         args.seed,
-        n_workers=_threads(args.threads),
     )
     with _output(args.out) as f:
         f.write(f"# config={_resolved(args)}\n")
@@ -341,7 +327,6 @@ def _build_parser() -> tuple[_Parser, dict]:
     def sub(name, func, **kwargs):
         p = subs.add_parser(name, **kwargs)
         p.add_argument("--config", help="JSON config file; flags override")
-        p.add_argument("--threads", type=int, default=None)
         p.set_defaults(func=func)
         registry[name] = p
         return p

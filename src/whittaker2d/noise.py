@@ -54,12 +54,9 @@ def sample_increments(
     seed: int, replicate: int, grid: TimeGrid, n_streams: int
 ) -> np.ndarray:
     """Raw increment matrix of shape (n_streams, M), Normal(0, dt)."""
-    out = np.empty((n_streams, grid.steps))
-    sd = np.sqrt(grid.dt)
-    for p in range(n_streams):
-        out[p] = _particle_rng(seed, replicate, p).standard_normal(grid.steps)
-    out *= sd
-    return out
+    return ensemble_increments(
+        seed, range(replicate, replicate + 1), grid, n_streams
+    )[0]
 
 
 def ensemble_increments(

@@ -72,6 +72,11 @@ class CellLabel(enum.IntEnum):
     CROSSING = 4
 
 
+# the labels as plain ints: numpy compares an int8 array with an IntEnum
+# member by first widening the array to int64
+_INTERIOR, _UPPER, _LOWER, _BOTH, _CROSSING = map(int, CellLabel)
+
+
 @dataclass(frozen=True)
 class CoincidenceClassification:
     """Per-cell labels (length M) and the tolerance used to assign them."""
@@ -97,7 +102,75 @@ def default_coincidence_eps(dt: float, gamma: float) -> float:
 
 
 def _midpoints(values: np.ndarray) -> np.ndarray:
-    return 0.5 * (values[:-1] + values[1:])
+    return 0.5 * (values[..., :-1] + values[..., 1:])
+
+
+def _cell_labels(
+    vals: np.ndarray, topology: Topology, eps: float
+) -> np.ndarray:
+    """(P, M) labels of every row's cells against its barrier rows, compared
+    at cell midpoints; a missing barrier never coincides or is crossed."""
+    if eps <= 0:
+        raise ValueError("eps must be positive")
+    mid = _midpoints(vals)
+    # int8 and row by row, so that a row's work stays in cache
+    labels = np.zeros(mid.shape, dtype=np.int8)
+    for p, (up, lo) in enumerate(zip(topology.upper, topology.lower)):
+        row = labels[p]
+        crossing = np.zeros(row.shape, dtype=bool)
+        if up >= 0:
+            crossing |= mid[p] > mid[up] + eps
+            row[np.abs(mid[p] - mid[up]) <= eps] = _UPPER
+        if lo >= 0:
+            crossing |= mid[p] < mid[lo] - eps
+            # _UPPER + _LOWER == _BOTH
+            row[np.abs(mid[p] - mid[lo]) <= eps] += _LOWER
+        row[crossing] = _CROSSING
+    return labels
+
+
+def _penalized_slopes(
+    vals: np.ndarray,
+    topology: Topology,
+    dt: float,
+    eps: float,
+    convention: str,
+):
+    """The one-sided-penalty kernel: (labels, penalized slopes), each (P, M).
+
+    The penalized slope is the full slope on interior and crossing cells.
+    A cell glued to the lower barrier keeps only descent, min(slope, 0), one
+    glued to the upper barrier only ascent, max(slope, 0) (swapped under
+    convention="theorem"), and a both-coincident cell keeps 0.
+    """
+    if convention not in _CONVENTIONS:
+        raise ValueError(f"unknown convention {convention!r}")
+    labels = _cell_labels(vals, topology, eps)
+    pen = np.diff(vals, axis=1)
+    pen /= dt
+    lower_kept, upper_kept = (
+        (np.minimum, np.maximum) if convention == LEMMA
+        else (np.maximum, np.minimum)
+    )
+    glued = labels == _LOWER
+    pen[glued] = lower_kept(pen[glued], 0.0)
+    glued = labels == _UPPER
+    pen[glued] = upper_kept(pen[glued], 0.0)
+    pen[labels == _BOTH] = 0.0
+    return labels, pen
+
+
+def _with_barriers(phi, upper, lower):
+    """Rows phi, upper, lower (phi stands in for a missing barrier) and the
+    Topology wiring the present barriers to row 0."""
+    for barrier in (upper, lower):
+        if barrier is not None and barrier.grid != phi.grid:
+            raise ValueError("barrier grid mismatch")
+    vals = np.array(
+        [(phi if b is None else b).values for b in (phi, upper, lower)]
+    )
+    return vals, Topology([-1 if lower is None else 2, -1, -1],
+                          [-1 if upper is None else 1, -1, -1])
 
 
 def classify(
@@ -111,46 +184,8 @@ def classify(
     Comparison happens at cell midpoints.  A missing barrier never produces
     coincidence or crossing on its side.
     """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    m = phi.grid.steps
-    pm = _midpoints(phi.values)
-    labels = np.zeros(m, dtype=np.int64)
-    up_coinc = np.zeros(m, dtype=bool)
-    lo_coinc = np.zeros(m, dtype=bool)
-    crossing = np.zeros(m, dtype=bool)
-    if upper is not None:
-        if upper.grid != phi.grid:
-            raise ValueError("upper barrier grid mismatch")
-        um = _midpoints(upper.values)
-        crossing |= pm > um + eps
-        up_coinc = np.abs(pm - um) <= eps
-    if lower is not None:
-        if lower.grid != phi.grid:
-            raise ValueError("lower barrier grid mismatch")
-        lm = _midpoints(lower.values)
-        crossing |= pm < lm - eps
-        lo_coinc = np.abs(pm - lm) <= eps
-    labels[up_coinc] = CellLabel.UPPER_COINCIDENT
-    labels[lo_coinc] = CellLabel.LOWER_COINCIDENT
-    labels[up_coinc & lo_coinc] = CellLabel.BOTH_COINCIDENT
-    labels[crossing] = CellLabel.CROSSING
-    return CoincidenceClassification(labels=labels, eps=eps)
-
-
-def _cell_slopes(phi: SamplePath) -> np.ndarray:
-    return np.diff(phi.values) / phi.grid.dt
-
-
-def _one_sided_penalties(slopes: np.ndarray, convention: str):
-    """(lower_coincidence_penalty, upper_coincidence_penalty) per cell."""
-    if convention not in _CONVENTIONS:
-        raise ValueError(f"unknown convention {convention!r}")
-    descent = np.minimum(slopes, 0.0) ** 2
-    ascent = np.maximum(slopes, 0.0) ** 2
-    if convention == LEMMA:
-        return descent, ascent
-    return ascent, descent
+    labels = _cell_labels(*_with_barriers(phi, upper, lower), eps)[0]
+    return CoincidenceClassification(labels=labels.astype(np.int64), eps=eps)
 
 
 @dataclass(frozen=True)
@@ -172,6 +207,32 @@ class ParticleTerms:
         return self.interior + self.upper_coincident + self.lower_coincident
 
 
+def _row_terms(labels, pen, dt, start, eps, initial_value) -> ParticleTerms:
+    """Action pieces of one row from its kernel labels and penalized slopes."""
+    if initial_value is not None and abs(start - initial_value) > eps:
+        return ParticleTerms(reason="initial-mismatch")
+    counts = np.bincount(labels, minlength=len(CellLabel))
+    # both-coincident cells (upper = path = lower) carry no penalty; their
+    # measure is reported so callers can see how much of the path they cover
+    measures = dict(
+        upper_measure=float(counts[_UPPER] * dt),
+        lower_measure=float(counts[_LOWER] * dt),
+        both_measure=float(counts[_BOTH] * dt),
+    )
+    if counts[_CROSSING]:
+        return ParticleTerms(reason="crossing", **measures)
+
+    def action(label):
+        return 0.5 * dt * float(np.sum(pen[labels == label] ** 2))
+
+    return ParticleTerms(
+        interior=action(_INTERIOR),
+        upper_coincident=action(_UPPER),
+        lower_coincident=action(_LOWER),
+        **measures,
+    )
+
+
 def _particle_terms(
     phi: SamplePath,
     upper: SamplePath | None,
@@ -180,34 +241,10 @@ def _particle_terms(
     initial_value: float | None,
     convention: str = LEMMA,
 ) -> ParticleTerms:
-    if initial_value is not None and abs(phi.values[0] - initial_value) > eps:
-        return ParticleTerms(reason="initial-mismatch")
-    cls = classify(phi, upper, lower, eps)
     dt = phi.grid.dt
-    if cls.has_crossing:
-        return ParticleTerms(
-            reason="crossing",
-            upper_measure=cls.measure(CellLabel.UPPER_COINCIDENT, dt),
-            lower_measure=cls.measure(CellLabel.LOWER_COINCIDENT, dt),
-            both_measure=cls.measure(CellLabel.BOTH_COINCIDENT, dt),
-        )
-    slopes = _cell_slopes(phi)
-    lo_pen, up_pen = _one_sided_penalties(slopes, convention)
-    lab = cls.labels
-    interior = lab == CellLabel.INTERIOR
-    upc = lab == CellLabel.UPPER_COINCIDENT
-    loc = lab == CellLabel.LOWER_COINCIDENT
-    # both-coincident cells (upper = path = lower) carry no penalty; their
-    # measure is reported so callers can see how much of the path they cover
-    return ParticleTerms(
-        interior=0.5 * dt * float(np.sum(slopes[interior] ** 2)),
-        upper_coincident=0.5 * dt * float(np.sum(up_pen[upc])),
-        lower_coincident=0.5 * dt * float(np.sum(lo_pen[loc])),
-        upper_measure=cls.measure(CellLabel.UPPER_COINCIDENT, dt),
-        lower_measure=cls.measure(CellLabel.LOWER_COINCIDENT, dt),
-        both_measure=cls.measure(CellLabel.BOTH_COINCIDENT, dt),
-        reason="none",
-    )
+    vals, topo = _with_barriers(phi, upper, lower)
+    labels, pen = _penalized_slopes(vals, topo, dt, eps, convention)
+    return _row_terms(labels[0], pen[0], dt, vals[0, 0], eps, initial_value)
 
 
 def local_rate_lower(
@@ -255,10 +292,7 @@ def schilder_rate(phi: SamplePath, initial_value: float, eps: float = 1e-9) -> f
     """Barrier-free quadratic action (the degenerate strictly-interlaced
     case): half the integral of the squared slope, +inf on initial
     mismatch."""
-    if abs(phi.values[0] - initial_value) > eps:
-        return np.inf
-    slopes = _cell_slopes(phi)
-    return 0.5 * phi.grid.dt * float(np.sum(slopes**2))
+    return _particle_terms(phi, None, None, eps, initial_value).total
 
 
 @dataclass(frozen=True)
@@ -289,24 +323,17 @@ def total_rate(
     """
     if bundle.N != config.N:
         raise ValueError("bundle and config disagree on N")
-    topo = Topology.triangle(bundle.N)
-
-    def path(row):
-        return None if row < 0 else SamplePath(bundle.grid, bundle.values[row])
-
+    dt = bundle.grid.dt
+    labels, pen = _penalized_slopes(
+        bundle.values, Topology.triangle(bundle.N), dt, eps, convention
+    )
     terms = {}
     total = 0.0
     reason = "none"
     offending = None
     for p, idx in enumerate(tri_indices(bundle.N)):
-        t = _particle_terms(
-            path(p),
-            path(topo.upper[p]),
-            path(topo.lower[p]),
-            eps,
-            config.initial.entries[p],
-            convention,
-        )
+        t = _row_terms(labels[p], pen[p], dt, bundle.values[p, 0], eps,
+                       config.initial.entries[p])
         terms[idx] = t
         if t.reason != "none" and reason == "none":
             reason = t.reason

@@ -19,13 +19,12 @@ import numpy as np
 
 from .model import (
     PathBundle,
-    SamplePath,
     TimeGrid,
     Topology,
     TriangularConfiguration,
     validate_initial_entries,
 )
-from .rate import LEMMA, CellLabel, classify
+from .rate import LEMMA, _penalized_slopes
 
 __all__ = ["VariationalProblem", "MinimizeResult", "minimize_rate"]
 
@@ -61,16 +60,19 @@ class MinimizeResult:
     converged: bool
 
 
-def _project_interlacing(vals: np.ndarray, N: int, sweeps: int = 60) -> None:
+def _project_interlacing(vals: np.ndarray, N: int, sweeps: int = 60) -> float:
     """Project every time slice onto the interlacing cone, in place.
 
     vals has shape (P, T).  Each sweep walks levels top-down and averages
     any violating pair; a handful of sweeps suffice in practice because the
-    pairwise averaging is a contraction toward the cone.
+    pairwise averaging is a contraction toward the cone.  Returns the worst
+    remaining min(T[hi] - T[lo]) over the order relations (+inf when there
+    are none): negative only when the sweeps ran out first.
     """
+    relations = Topology.triangle(N).relations
     for _ in range(sweeps):
         clean = True
-        for hi, lo in Topology.triangle(N).relations:
+        for hi, lo in relations:
             gap = vals[hi] - vals[lo]
             bad = gap < 0
             if np.any(bad):
@@ -80,6 +82,8 @@ def _project_interlacing(vals: np.ndarray, N: int, sweeps: int = 60) -> None:
                 vals[lo, bad] = mid
         if clean:
             break
+    gaps = (np.min(vals[hi] - vals[lo]) for hi, lo in relations)
+    return float(min(gaps, default=np.inf))
 
 
 def _objective_and_grad(
@@ -87,34 +91,9 @@ def _objective_and_grad(
 ):
     """Bundle action of the node-value array (P, M+1) and its (sub)gradient."""
     dt = grid.dt
-    slopes = np.diff(vals, axis=1) / dt
-    pen_slope = slopes.copy()
-    topo = Topology.triangle(N)
-
-    def path(row):
-        return None if row < 0 else SamplePath(grid, vals[row])
-
-    for p in range(topo.size):
-        up, lo = topo.upper[p], topo.lower[p]
-        if up < 0 and lo < 0:
-            continue
-        labels = classify(path(p), path(up), path(lo), eps).labels
-        s = pen_slope[p]
-        if convention == LEMMA:
-            s[labels == CellLabel.LOWER_COINCIDENT] = np.minimum(
-                s[labels == CellLabel.LOWER_COINCIDENT], 0.0
-            )
-            s[labels == CellLabel.UPPER_COINCIDENT] = np.maximum(
-                s[labels == CellLabel.UPPER_COINCIDENT], 0.0
-            )
-        else:
-            s[labels == CellLabel.LOWER_COINCIDENT] = np.maximum(
-                s[labels == CellLabel.LOWER_COINCIDENT], 0.0
-            )
-            s[labels == CellLabel.UPPER_COINCIDENT] = np.minimum(
-                s[labels == CellLabel.UPPER_COINCIDENT], 0.0
-            )
-        s[labels == CellLabel.BOTH_COINCIDENT] = 0.0
+    _, pen_slope = _penalized_slopes(
+        vals, Topology.triangle(N), dt, eps, convention
+    )
     value = 0.5 * dt * float(np.sum(pen_slope**2))
     # d(value)/d(vals[:, i]) = pen_slope[:, i-1] - pen_slope[:, i]
     grad = np.zeros_like(vals)
@@ -135,7 +114,15 @@ def minimize_rate(
     N, grid = problem.N, problem.grid
     baseline = PathBundle.linear(N, grid, problem.initial, problem.terminal)
     vals = baseline.values.copy()
-    _project_interlacing(vals, N)  # linear interp of cone points stays in cone
+
+    def project(v):
+        # an iterate left outside the cone would score +inf as a crossing
+        defect = _project_interlacing(v, N)
+        if defect < -problem.eps:
+            raise RuntimeError(f"projection left a slice {-defect:.3e} "
+                               f"outside the interlacing cone")
+
+    project(vals)  # linear interp of cone points stays in cone
 
     f, grad = _objective_and_grad(vals, N, grid, problem.eps, convention)
     baseline_rate = f
@@ -148,7 +135,7 @@ def minimize_rate(
             cand = vals - step * grad
             cand[:, 0] = vals[:, 0]
             cand[:, -1] = vals[:, -1]
-            _project_interlacing(cand, N)
+            project(cand)
             f_cand, g_cand = _objective_and_grad(
                 cand, N, grid, problem.eps, convention
             )

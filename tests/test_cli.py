@@ -1,3 +1,4 @@
+import inspect
 import io
 import json
 
@@ -5,7 +6,7 @@ import numpy as np
 import pytest
 
 from whittaker2d import bundle_from_csv
-from whittaker2d.cli import main
+from whittaker2d.cli import _build_parser, main
 
 
 def run(argv, capsys):
@@ -180,3 +181,14 @@ def test_interlace_and_equivalence_run(capsys):
     )
     assert code == 0
     assert "violation_fraction" in out.splitlines()[1]
+
+
+def test_every_flag_is_read_by_its_handler():
+    # a flag the handler never reads is advertised but ignored
+    _, registry = _build_parser()
+    for name, sub in registry.items():
+        source = inspect.getsource(sub.get_default("func"))
+        for action in sub._actions:
+            if action.dest in {"help", "func", "config", "command"}:
+                continue
+            assert f"args.{action.dest}" in source, (name, action.dest)

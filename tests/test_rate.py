@@ -246,6 +246,11 @@ def test_total_rate_crossing_sentinel():
     assert br.total == np.inf
     assert br.infinity_reason == "crossing"
     assert br.offending is not None
+    # the convention and eps are checked before any row is scored
+    with pytest.raises(ValueError):
+        total_rate(bundle, cfg, 1e-4, "other")
+    with pytest.raises(ValueError):
+        total_rate(bundle, cfg, -1e-4)
 
 
 def test_total_rate_initial_mismatch_sentinel():

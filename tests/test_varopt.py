@@ -6,11 +6,13 @@ from whittaker2d import (
     ModelConfig,
     PathBundle,
     TimeGrid,
+    Topology,
     TriangularConfiguration,
     VariationalProblem,
     minimize_rate,
     total_rate,
 )
+from whittaker2d import varopt
 from whittaker2d.varopt import _objective_and_grad, _project_interlacing
 
 
@@ -119,3 +121,63 @@ def test_result_reports_iterations():
     assert result.rate == 0.0
     assert result.iterations >= 1
     assert result.converged
+
+
+def test_minimize_rate_rejects_unknown_convention():
+    with pytest.raises(ValueError):
+        minimize_rate(_problem(2, [0.0, 1.0, -1.0], [1.0, 2.0, 0.0]), "lemmma")
+
+
+def test_projection_reports_remaining_defect():
+    rng = np.random.default_rng(5)
+    vals = rng.normal(0, 1, (15, 40))
+    defect = _project_interlacing(vals, 5, sweeps=1)
+    relations = Topology.triangle(5).relations
+    gaps = [np.min(vals[hi] - vals[lo]) for hi, lo in relations]
+    assert defect == min(gaps) < 0
+    # inside the cone nothing moves and the smallest gap comes back
+    inside = np.array([[0.0, 0.1], [1.0, 1.1], [-1.0, -0.7]])
+    assert _project_interlacing(inside, 2, sweeps=1) == pytest.approx(0.8)
+    assert _project_interlacing(np.zeros((1, 3)), 1) == np.inf
+
+
+def test_minimize_rate_raises_when_projection_falls_short(monkeypatch):
+    monkeypatch.setattr(varopt, "_project_interlacing", lambda vals, N: -1e-3)
+    with pytest.raises(RuntimeError):
+        minimize_rate(_problem(2, [0.0, 1.0, -1.0], [1.0, 2.0, 0.0]))
+
+
+def _glued_bundle(rng, N, m):
+    """Random interlaced bundle whose rows sit on each of their barriers
+    over part of the grid, with no crossing."""
+    topo = Topology.triangle(N)
+    vals = np.cumsum(rng.normal(0, 0.1, (topo.size, m + 1)), axis=1)
+    for p in range(topo.size):
+        lo, up = topo.lower[p], topo.upper[p]
+        if lo >= 0:
+            vals[p] = np.maximum(vals[p], vals[lo])
+        if up >= 0:
+            vals[p] = np.minimum(vals[p], vals[up])
+        for row in (lo, up):
+            if row >= 0:
+                a, b = sorted(rng.integers(0, m + 1, 2))
+                vals[p, a:b + 1] = vals[row, a:b + 1]
+    vals[:, 0] = 0.0
+    return vals
+
+
+@pytest.mark.parametrize("N", [2, 3])
+@pytest.mark.parametrize("convention", ["lemma", "theorem"])
+@pytest.mark.parametrize("eps", [1e-6, 1e-2])
+def test_objective_is_total_rate(N, convention, eps):
+    rng = np.random.default_rng([N, int(eps * 1e6)])
+    grid = TimeGrid(0.0, 1.0, 50)
+    cfg = ModelConfig(N=N, gamma=8.0, initial=TriangularConfiguration.zeros(N))
+    for _ in range(5):
+        vals = _glued_bundle(rng, N, grid.steps)
+        br = total_rate(PathBundle(N, grid, vals), cfg, eps, convention)
+        assert br.infinity_reason == "none"
+        assert any(t.upper_measure + t.lower_measure > 0
+                   for t in br.terms.values())
+        value, _ = _objective_and_grad(vals, N, grid, eps, convention)
+        assert value == pytest.approx(br.total, rel=1e-12)
