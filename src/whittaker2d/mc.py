@@ -94,26 +94,27 @@ def _batches(n: int, size: int):
         start = stop
 
 
-def _maxdev_batch(
+def _maxdev(
     config: ModelConfig,
     grid: TimeGrid,
     phi_vals: np.ndarray,
-    seed: int,
-    reps: range,
+    inc: np.ndarray,
 ):
-    """Per-replicate sup deviation from the target bundle, plus clamp counts."""
-    P = tri_size(config.N)
-    inc = ensemble_increments(seed, reps, grid, P)
-    R = len(reps)
+    """Per-replicate sup deviation from the target bundle, plus clamp counts,
+    for the raw increments inc of shape (R, P, M)."""
+    R = inc.shape[0]
     if config.N == 1 and float(config.drifts[0]) == 0.0:
-        # free particle: the path is an exact cumulative sum
+        # free particle: the path is an exact cumulative sum, built and
+        # compared with phi in one (R, M+1) buffer
         paths = np.empty((R, grid.npoints))
         paths[:, 0] = config.initial.entries[0]
-        np.cumsum(inc[:, 0, :] / np.sqrt(config.gamma), axis=1,
-                  out=paths[:, 1:])
-        paths[:, 1:] += config.initial.entries[0]
-        maxdev = np.max(np.abs(paths - phi_vals[0]), axis=1)
-        return maxdev, np.zeros(R, dtype=int)
+        steps = paths[:, 1:]
+        np.divide(inc[:, 0, :], np.sqrt(config.gamma), out=steps)
+        np.cumsum(steps, axis=1, out=steps)
+        steps += config.initial.entries[0]
+        paths -= phi_vals[0]
+        np.abs(paths, out=paths)
+        return np.max(paths, axis=1), np.zeros(R, dtype=int)
     maxdev = np.zeros(R)
 
     def observe(i, vals):
@@ -129,6 +130,50 @@ def _maxdev_batch(
     return maxdev, clamps
 
 
+def _smallball(configs, phi, delta, n_samples, seed, batch_size, n_workers):
+    """One EstimatorResult per config, all scored on the same replicates.
+
+    Each batch of increments is drawn once and scored under every config in
+    turn, so replicate r sees the same noise in all of them."""
+    if n_samples <= 0:
+        raise EmptySampleError("n_samples must be positive")
+    if any(phi.N != c.N for c in configs):
+        raise ValueError("target bundle N does not match config")
+    grid = phi.grid
+    P = tri_size(phi.N)
+
+    def work(reps):
+        inc = ensemble_increments(seed, reps, grid, P)
+        counts = np.zeros((len(configs), 2), dtype=int)
+        for j, cfg in enumerate(configs):
+            maxdev, clamps = _maxdev(cfg, grid, phi.values, inc)
+            counts[j] = (np.count_nonzero(maxdev <= delta),
+                         np.count_nonzero(clamps > 0))
+        return counts
+
+    batches = list(_batches(n_samples, batch_size))
+    if n_workers > 1:
+        with ThreadPoolExecutor(max_workers=n_workers) as pool:
+            parts = list(pool.map(work, batches))
+    else:
+        parts = [work(b) for b in batches]
+    totals = np.sum(parts, axis=0)
+    results = []
+    for cfg, (hits, clamped) in zip(configs, totals.tolist()):
+        lo, hi = wilson_interval(hits, n_samples)
+        results.append(EstimatorResult(
+            p_hat=hits / n_samples,
+            ci_low=lo,
+            ci_high=hi,
+            hits=hits,
+            n_samples=n_samples,
+            gamma=cfg.gamma,
+            delta=delta,
+            clamp_contamination=clamped / n_samples,
+        ))
+    return results
+
+
 def smallball_probability(
     config: ModelConfig,
     phi: PathBundle,
@@ -140,38 +185,9 @@ def smallball_probability(
 ) -> EstimatorResult:
     """Fraction of replicates staying within sup-norm delta of the target
     bundle across every particle, with a 95% Wilson interval."""
-    if n_samples <= 0:
-        raise EmptySampleError("n_samples must be positive")
-    if phi.N != config.N:
-        raise ValueError("target bundle N does not match config")
-    grid = phi.grid
-
-    def work(reps):
-        maxdev, clamps = _maxdev_batch(config, grid, phi.values, seed, reps)
-        return (
-            int(np.count_nonzero(maxdev <= delta)),
-            int(np.count_nonzero(clamps > 0)),
-        )
-
-    batches = list(_batches(n_samples, batch_size))
-    if n_workers > 1:
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            parts = list(pool.map(work, batches))
-    else:
-        parts = [work(b) for b in batches]
-    hits = sum(p[0] for p in parts)
-    clamped = sum(p[1] for p in parts)
-    lo, hi = wilson_interval(hits, n_samples)
-    return EstimatorResult(
-        p_hat=hits / n_samples,
-        ci_low=lo,
-        ci_high=hi,
-        hits=hits,
-        n_samples=n_samples,
-        gamma=config.gamma,
-        delta=delta,
-        clamp_contamination=clamped / n_samples,
-    )
+    return _smallball(
+        [config], phi, delta, n_samples, seed, batch_size, n_workers
+    )[0]
 
 
 @dataclass(frozen=True)
@@ -209,23 +225,20 @@ def ldp_slope(
 ) -> SlopeFit:
     """Estimate the exponential decay rate of the small-ball probability.
 
-    Runs smallball_probability at each gamma with the same seed, so every
-    gamma reuses replicate r's Brownian increments (common random numbers):
-    the per-gamma estimates are correlated, not independent.  Then regresses
-    -log p_hat on gamma.  The action of the target bundle is attached for
-    comparison.
+    Draws each batch of replicates' Brownian increments once and scores it
+    at every gamma, so every gamma sees replicate r's same increments
+    (common random numbers): the per-gamma estimates are correlated, not
+    independent, and each equals smallball_probability at that gamma with
+    the same seed.  Then regresses -log p_hat on gamma.  The action of the
+    target bundle is attached for comparison.
     """
     gammas = np.asarray(sorted(gammas), dtype=float)
     if gammas.size < 3:
         raise ValueError("need at least three gamma values")
-    results = []
-    for g in gammas:
-        cfg = dataclasses.replace(config, gamma=float(g))
-        results.append(
-            smallball_probability(
-                cfg, phi, delta, n_samples, seed, batch_size, n_workers
-            )
-        )
+    configs = [dataclasses.replace(config, gamma=float(g)) for g in gammas]
+    results = _smallball(
+        configs, phi, delta, n_samples, seed, batch_size, n_workers
+    )
     p = np.array([r.p_hat for r in results])
     with np.errstate(divide="ignore"):
         mlp = -np.log(p)

@@ -127,9 +127,13 @@ def minimize_rate(
     f, grad = _objective_and_grad(vals, N, grid, problem.eps, convention)
     baseline_rate = f
     step = problem.step_size
-    converged = False
     it = 0
     for it in range(1, problem.max_iters + 1):
+        # checked before the line search, so that a stationary baseline
+        # costs no step halvings
+        if np.linalg.norm(grad[:, 1:-1]) * step < problem.tol:
+            converged = True
+            break
         trial = None
         for _ in range(40):
             cand = vals - step * grad
@@ -148,9 +152,9 @@ def minimize_rate(
             break
         vals, f, grad = trial
         step *= 1.3
-        if np.linalg.norm(grad[:, 1:-1]) * step < problem.tol:
-            converged = True
-            break
+    else:
+        # the last allowed step may itself have met the tolerance
+        converged = bool(np.linalg.norm(grad[:, 1:-1]) * step < problem.tol)
 
     bundle = PathBundle(N, grid, vals)
     return MinimizeResult(

@@ -142,6 +142,53 @@ def test_ldp_slope_sentinel_and_fit():
     assert fit.slope < 0.1
 
 
+def _crossing_target(grid):
+    # the criterion-8 target: levels 1 and 2 cross, so the N=2 triangle
+    # clamps its drift on the way
+    end = TriangularConfiguration(2, np.array([-0.2125, 0.1, 0.2125]))
+    return PathBundle.linear(2, grid, TriangularConfiguration.zeros(2), end)
+
+
+@pytest.mark.parametrize("N", [1, 2])
+def test_ldp_slope_results_equal_smallball(N):
+    # one draw per batch scores every gamma exactly as a separate
+    # smallball_probability call at that gamma would
+    if N == 1:
+        grid = TimeGrid(0.0, 1.0, 200)
+        phi = PathBundle.linear(
+            1, grid, TriangularConfiguration.zeros(1),
+            TriangularConfiguration(1, np.array([0.5])),
+        )
+        delta, gammas = 0.3, [4.0, 8.0, 16.0]
+    else:
+        grid = TimeGrid(0.0, 0.25, 100)
+        phi = _crossing_target(grid)
+        delta, gammas = 0.4, [2.0, 4.0, 8.0]
+    fit = ldp_slope(
+        _cfg(N, 4.0), phi, delta, gammas, 600, seed=3, batch_size=250
+    )
+    for g, r in zip(gammas, fit.results):
+        alone = smallball_probability(
+            _cfg(N, g), phi, delta, 600, seed=3, batch_size=250
+        )
+        assert r == alone
+        assert r.hits > 0
+    if N == 2:
+        assert all(r.clamp_contamination > 0 for r in fit.results)
+
+
+def test_ldp_slope_worker_count_invariance():
+    grid = TimeGrid(0.0, 0.25, 100)
+    phi = _crossing_target(grid)
+    fits = [
+        ldp_slope(_cfg(2, 4.0), phi, 0.4, [2.0, 4.0, 8.0], 600, seed=5,
+                  batch_size=250, n_workers=workers)
+        for workers in (1, 2)
+    ]
+    assert fits[0].results == fits[1].results
+    assert fits[0].slope == fits[1].slope
+
+
 def test_interlace_frequencies_margin_monotonicity():
     freqs = interlace_event_frequency(
         [16.0], 400, seed=6, dt=1e-2, margin_scale=1.0

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from numpy.random import Generator, Philox
 
 from whittaker2d import (
     NoiseBundle,
@@ -64,6 +65,30 @@ def test_particle_slices_are_addressable():
     small = sample_increments(9, 0, grid, 1)
     big = sample_increments(9, 0, grid, 6)
     np.testing.assert_array_equal(small[0], big[0])
+
+
+@pytest.mark.parametrize("seed", [0, 2**53 + 1, 2**64 - 1])
+@pytest.mark.parametrize("rep", [0, 2**53 + 1, 2**64 - 1])
+def test_streams_match_fresh_philox(seed, rep):
+    # stream (rep, p) is what a fresh Philox with key (seed, rep) and
+    # counter block [0, p+1, 0, 0] draws, scaled by sqrt(dt)
+    grid = TimeGrid(0.0, 1.0, 33)
+    block = ensemble_increments(seed, range(rep, rep + 1), grid, 3)
+    key = np.array([seed, rep], dtype=np.uint64)
+    for p in range(3):
+        rng = Generator(Philox(key=key, counter=[0, p + 1, 0, 0]))
+        expect = rng.standard_normal(grid.steps) * np.sqrt(grid.dt)
+        np.testing.assert_array_equal(block[0, p], expect)
+
+
+def test_stream_layout_pinned():
+    # literal draws: any change to the stream layout must fail here
+    grid = TimeGrid(0.0, 1.0, 4)
+    block = ensemble_increments(2024, range(3), grid, 2)
+    assert block[0, 0, 0] == -0.5357376862198944
+    assert block[2, 1, 3] == -0.4811932550391372
+    top = ensemble_increments(2**64 - 1, range(2**64 - 1, 2**64), grid, 1)
+    assert top[0, 0, 1] == 0.9403915178539011
 
 
 def test_ensemble_matches_per_replicate():

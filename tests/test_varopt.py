@@ -123,6 +123,22 @@ def test_result_reports_iterations():
     assert result.converged
 
 
+def test_stationary_baseline_costs_no_line_search(monkeypatch):
+    # no coincident cell: the straight-line baseline is already optimal,
+    # which the tolerance check sees before any step halving
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return _objective_and_grad(*args)
+
+    monkeypatch.setattr(varopt, "_objective_and_grad", counted)
+    result = minimize_rate(_problem(2, [0.0, 0.4, -0.3], [0.5, 1.0, 0.1]))
+    assert result.converged
+    assert result.rate == result.baseline_rate
+    assert len(calls) <= 2
+
+
 def test_minimize_rate_rejects_unknown_convention():
     with pytest.raises(ValueError):
         minimize_rate(_problem(2, [0.0, 1.0, -1.0], [1.0, 2.0, 0.0]), "lemmma")
