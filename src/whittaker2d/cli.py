@@ -53,9 +53,14 @@ class _Parser(argparse.ArgumentParser):
 
 def _gamma_list(text: str) -> list[float]:
     try:
-        return [float(x) for x in text.split(",") if x.strip()]
+        gammas = [float(x) for x in text.split(",") if x.strip()]
     except ValueError:
         raise argparse.ArgumentTypeError(f"bad gamma list {text!r}")
+    if not all(0.0 < g < np.inf for g in gammas):
+        raise argparse.ArgumentTypeError(
+            f"bad gamma list {text!r}: need positive finite values"
+        )
+    return gammas
 
 
 def _load_config_file(path: str) -> dict:

@@ -10,7 +10,6 @@ fraction of replicates whose drift was clamped; experiments with more than
 
 from __future__ import annotations
 
-import dataclasses
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -94,62 +93,81 @@ def _batches(n: int, size: int):
         start = stop
 
 
+def _checked_gammas(gammas, batch_size: int) -> np.ndarray:
+    """gammas as a float array, once every gamma is positive and finite and
+    batch_size is at least 1 (a smaller one would make no progress)."""
+    gammas = np.asarray(gammas, dtype=float)
+    if not np.all(np.isfinite(gammas) & (gammas > 0)):
+        raise ValueError("gamma must be positive and finite")
+    if batch_size < 1:
+        raise ValueError("batch_size must be at least 1")
+    return gammas
+
+
+def _free_maxdev(config, gamma, grid, phi_vals, inc):
+    """_maxdev of the free particle at one gamma: the path is an exact
+    cumulative sum, built and compared with phi in one (R, M+1) buffer."""
+    paths = np.empty((inc.shape[0], grid.npoints))
+    paths[:, 0] = config.initial.entries[0]
+    steps = paths[:, 1:]
+    np.divide(inc[:, 0, :], np.sqrt(gamma), out=steps)
+    np.cumsum(steps, axis=1, out=steps)
+    steps += config.initial.entries[0]
+    paths -= phi_vals[0]
+    np.abs(paths, out=paths)
+    return np.max(paths, axis=1)
+
+
 def _maxdev(
     config: ModelConfig,
+    gammas: np.ndarray,
     grid: TimeGrid,
     phi_vals: np.ndarray,
     inc: np.ndarray,
 ):
-    """Per-replicate sup deviation from the target bundle, plus clamp counts,
-    for the raw increments inc of shape (R, P, M)."""
-    R = inc.shape[0]
+    """Per-replicate sup deviation from the target bundle at each gamma,
+    plus clamp counts, both of shape (G, R), for the raw increments inc of
+    shape (R, P, M)."""
     if config.N == 1 and float(config.drifts[0]) == 0.0:
-        # free particle: the path is an exact cumulative sum, built and
-        # compared with phi in one (R, M+1) buffer
-        paths = np.empty((R, grid.npoints))
-        paths[:, 0] = config.initial.entries[0]
-        steps = paths[:, 1:]
-        np.divide(inc[:, 0, :], np.sqrt(config.gamma), out=steps)
-        np.cumsum(steps, axis=1, out=steps)
-        steps += config.initial.entries[0]
-        paths -= phi_vals[0]
-        np.abs(paths, out=paths)
-        return np.max(paths, axis=1), np.zeros(R, dtype=int)
-    maxdev = np.zeros(R)
+        maxdev = np.stack([
+            _free_maxdev(config, gamma, grid, phi_vals, inc) for gamma in gammas
+        ])
+        return maxdev, np.zeros(maxdev.shape, dtype=int)
+    maxdev = np.zeros(gammas.size * inc.shape[0])
 
-    def observe(i, vals):
-        dev = np.max(np.abs(vals - phi_vals[:, i, None]), axis=0)
-        np.maximum(maxdev, dev, out=maxdev)
+    def observe(i0, block):
+        dev = block - phi_vals[:, i0 : i0 + len(block)].T[:, :, None]
+        np.abs(dev, out=dev)
+        np.maximum(maxdev, np.max(dev, axis=(0, 1)), out=maxdev)
 
     clamps = ensemble_scan(
         Topology.triangle(config.N), config.initial.entries, inc,
-        config.gamma, grid.dt, config.drift_cap,
+        gammas, grid.dt, config.drift_cap,
         drifts=np.repeat(config.drifts, np.arange(1, config.N + 1)),
         observe=observe,
     )
-    return maxdev, clamps
+    return maxdev.reshape(clamps.shape), clamps
 
 
-def _smallball(configs, phi, delta, n_samples, seed, batch_size, n_workers):
-    """One EstimatorResult per config, all scored on the same replicates.
+def _smallball(config, gammas, phi, delta, n_samples, seed, batch_size,
+               n_workers):
+    """One EstimatorResult per gamma, all scored on the same replicates.
 
-    Each batch of increments is drawn once and scored under every config in
-    turn, so replicate r sees the same noise in all of them."""
+    Each batch of increments is drawn once and stepped at every gamma in
+    one scan, so replicate r sees the same noise at all of them."""
     if n_samples <= 0:
         raise EmptySampleError("n_samples must be positive")
-    if any(phi.N != c.N for c in configs):
+    stacked = _checked_gammas(gammas, batch_size)
+    if phi.N != config.N:
         raise ValueError("target bundle N does not match config")
     grid = phi.grid
     P = tri_size(phi.N)
 
     def work(reps):
         inc = ensemble_increments(seed, reps, grid, P)
-        counts = np.zeros((len(configs), 2), dtype=int)
-        for j, cfg in enumerate(configs):
-            maxdev, clamps = _maxdev(cfg, grid, phi.values, inc)
-            counts[j] = (np.count_nonzero(maxdev <= delta),
-                         np.count_nonzero(clamps > 0))
-        return counts
+        maxdev, clamps = _maxdev(config, stacked, grid, phi.values, inc)
+        return np.stack([np.count_nonzero(maxdev <= delta, axis=1),
+                         np.count_nonzero(clamps > 0, axis=1)], axis=1)
 
     batches = list(_batches(n_samples, batch_size))
     if n_workers > 1:
@@ -159,7 +177,7 @@ def _smallball(configs, phi, delta, n_samples, seed, batch_size, n_workers):
         parts = [work(b) for b in batches]
     totals = np.sum(parts, axis=0)
     results = []
-    for cfg, (hits, clamped) in zip(configs, totals.tolist()):
+    for gamma, (hits, clamped) in zip(gammas, totals.tolist()):
         lo, hi = wilson_interval(hits, n_samples)
         results.append(EstimatorResult(
             p_hat=hits / n_samples,
@@ -167,7 +185,7 @@ def _smallball(configs, phi, delta, n_samples, seed, batch_size, n_workers):
             ci_high=hi,
             hits=hits,
             n_samples=n_samples,
-            gamma=cfg.gamma,
+            gamma=gamma,
             delta=delta,
             clamp_contamination=clamped / n_samples,
         ))
@@ -186,7 +204,8 @@ def smallball_probability(
     """Fraction of replicates staying within sup-norm delta of the target
     bundle across every particle, with a 95% Wilson interval."""
     return _smallball(
-        [config], phi, delta, n_samples, seed, batch_size, n_workers
+        config, [config.gamma], phi, delta, n_samples, seed, batch_size,
+        n_workers,
     )[0]
 
 
@@ -235,9 +254,9 @@ def ldp_slope(
     gammas = np.asarray(sorted(gammas), dtype=float)
     if gammas.size < 3:
         raise ValueError("need at least three gamma values")
-    configs = [dataclasses.replace(config, gamma=float(g)) for g in gammas]
     results = _smallball(
-        configs, phi, delta, n_samples, seed, batch_size, n_workers
+        config, gammas.tolist(), phi, delta, n_samples, seed, batch_size,
+        n_workers,
     )
     p = np.array([r.p_hat for r in results])
     with np.errstate(divide="ignore"):
@@ -271,6 +290,9 @@ def ldp_slope(
 _FOUR_PARTICLE = Topology.triangle(3).restrict(
     [tri_offset(1, 1), tri_offset(2, 1), tri_offset(2, 2), tri_offset(3, 2)]
 )
+# (hi, lo) rows of the watched gaps T+ - T0, T0 - T-, T+ - T, T - T-, T+ - T-:
+# A reads the first two, B the next two, C the last
+_GAP_HI, _GAP_LO = [1, 0, 1, 3, 1], [0, 2, 3, 2, 2]
 
 
 @dataclass(frozen=True)
@@ -301,53 +323,52 @@ def interlace_event_frequency(
 ) -> list[InterlaceFrequencies]:
     """Violation frequencies for the four-particle system from zero starts.
 
+    Each batch is drawn once and stepped at every gamma in one scan.
     margin_scale multiplies every margin (frequencies must not increase
     when the margins are widened).
     """
     if n_samples <= 0:
         raise EmptySampleError("n_samples must be positive")
+    gammas = _checked_gammas(gammas, batch_size)
     grid = TimeGrid(0.0, 1.0, round(1.0 / dt))
-    out = []
-    for gamma in gammas:
-        gamma = float(gamma)
-        bounds = InterlaceBounds.from_gamma(gamma)
-        f = margin_scale * bounds.f
-        g = margin_scale * bounds.g
-        a_bad = b_bad = c_bad = clamped = 0
-        for reps in _batches(n_samples, batch_size):
-            inc = ensemble_increments(seed, reps, grid, 4)
-            R = len(reps)
-            mins = np.full((R, 5), np.inf)
+    margins = [InterlaceBounds.from_gamma(g) for g in gammas]
+    f = [margin_scale * m.f for m in margins]
+    g = [margin_scale * m.g for m in margins]
+    f_col, g_col = np.c_[f], np.c_[g]
+    # per gamma: a, b, c violations and clamped replicates
+    bad = np.zeros((4, gammas.size), dtype=int)
+    for reps in _batches(n_samples, batch_size):
+        inc = ensemble_increments(seed, reps, grid, 4)
+        mins = np.full((len(_GAP_HI), gammas.size * len(reps)), np.inf)
 
-            def observe(i, vals):
-                t0, tp, tm, t = vals
-                gaps = np.column_stack(
-                    [tp - t0, t0 - tm, tp - t, t - tm, tp - tm]
-                )
-                np.minimum(mins, gaps, out=mins)
+        def observe(i0, block):
+            gaps = block[:, _GAP_HI] - block[:, _GAP_LO]
+            np.minimum(mins, np.min(gaps, axis=0), out=mins)
 
-            clamps = ensemble_scan(
-                _FOUR_PARTICLE, np.zeros(4), inc, gamma, grid.dt, cap,
-                observe=observe,
-            )
-            a_bad += int(np.count_nonzero(np.min(mins[:, 0:2], axis=1) < -f))
-            b_bad += int(
-                np.count_nonzero(np.min(mins[:, 2:4], axis=1) < -2 * g)
-            )
-            c_bad += int(np.count_nonzero(mins[:, 4] < -g))
-            clamped += int(np.count_nonzero(clamps > 0))
-        out.append(
-            InterlaceFrequencies(
-                gamma=gamma,
-                n_samples=n_samples,
-                a_violation=a_bad / n_samples,
-                b_violation=b_bad / n_samples,
-                c_violation=c_bad / n_samples,
-                clamp_contamination=clamped / n_samples,
-                margins=InterlaceBounds(f=f, g=g),
-            )
+        clamps = ensemble_scan(
+            _FOUR_PARTICLE, np.zeros(4), inc, gammas, grid.dt, cap,
+            observe=observe,
         )
-    return out
+        m = mins.reshape(-1, *clamps.shape)  # (gap, gamma, replicate)
+        bad += [
+            np.count_nonzero(np.min(m[0:2], axis=0) < -f_col, axis=1),
+            np.count_nonzero(np.min(m[2:4], axis=0) < -2 * g_col, axis=1),
+            np.count_nonzero(m[4] < -g_col, axis=1),
+            np.count_nonzero(clamps > 0, axis=1),
+        ]
+    return [
+        InterlaceFrequencies(
+            gamma=float(gamma),
+            n_samples=n_samples,
+            a_violation=int(n_a) / n_samples,
+            b_violation=int(n_b) / n_samples,
+            c_violation=int(n_c) / n_samples,
+            clamp_contamination=int(n_clamped) / n_samples,
+            margins=InterlaceBounds(f=fj, g=gj),
+        )
+        for gamma, fj, gj, (n_a, n_b, n_c, n_clamped)
+        in zip(gammas, f, g, bad.T)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -391,6 +412,7 @@ def equivalence_experiment(
     """
     if n_samples <= 0:
         raise EmptySampleError("n_samples must be positive")
+    _checked_gammas(gamma, batch_size)
     if eta < 0:
         raise ValueError("eta must be nonnegative")
     if lower is None:

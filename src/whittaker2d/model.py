@@ -308,8 +308,8 @@ class ModelConfig:
     drift_cap: float | None = None
 
     def __post_init__(self):
-        if self.gamma <= 0:
-            raise ValueError("gamma must be positive")
+        if not (np.isfinite(self.gamma) and self.gamma > 0):
+            raise ValueError("gamma must be positive and finite")
         if self.initial.N != self.N:
             raise ValueError("initial configuration N does not match config N")
         d = np.zeros(self.N) if self.drifts is None else _frozen(self.drifts)

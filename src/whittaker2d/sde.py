@@ -25,34 +25,20 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._logquad import log_cumtrapz_exp
-from .model import (
-    ModelConfig,
-    PathBundle,
-    SamplePath,
-    TimeGrid,
-    Topology,
-    tri_size,
-)
+from .model import ModelConfig, PathBundle, SamplePath, TimeGrid, Topology
+from .model import tri_size
 from .noise import NoiseBundle
 
 __all__ = [
-    "TruncationLevels",
-    "SimulationResult",
-    "NonFiniteError",
-    "DomainError",
-    "simulate",
-    "ensemble_scan",
-    "simulate_truncated",
-    "solve_edge_exact",
-    "simulate_lower_barrier_euler",
-    "simulate_two_barrier",
-    "equivalence_gap",
-    "GapReport",
-    "escape_probability_bound",
+    "TruncationLevels", "SimulationResult", "NonFiniteError", "DomainError",
+    "simulate", "ensemble_scan", "simulate_truncated", "solve_edge_exact",
+    "simulate_lower_barrier_euler", "simulate_two_barrier",
+    "equivalence_gap", "GapReport", "escape_probability_bound",
     "default_drift_cap",
 ]
 
 _EXP_MAX = 700.0  # exp argument ceiling, just under float64 overflow
+_CHUNK_BYTES = 1 << 19  # size of each per-chunk buffer of ensemble_scan
 
 
 class NonFiniteError(RuntimeError):
@@ -113,18 +99,11 @@ class SimulationResult:
 
 
 def ensemble_scan(
-    topology: Topology,
-    start,
-    increments: np.ndarray,
-    gamma: float,
-    dt: float,
-    cap: float | None,
-    drifts=None,
-    truncation=None,
-    barriers=None,
-    observe=None,
+    topology: Topology, start, increments: np.ndarray, gamma, dt: float, cap,
+    drifts=None, truncation=None, barriers=None, observe=None,
 ) -> np.ndarray:
-    """Step an ensemble of replicates of the system wired by topology.
+    """Step an ensemble of replicates of the system wired by topology at
+    one gamma or at several.
 
     increments has shape (R, P, M) of raw Normal(0, dt) draws for the P
     moving rows; start holds their P start values.  barriers, shape
@@ -132,13 +111,20 @@ def ensemble_scan(
     they are written into the state at every grid index instead of being
     stepped.  drifts (the constant a of each moving row) and truncation
     (each moving row's cutoff L: T inside a drift exponent is replaced by
-    clip(T, -L, L)) have length P.  cap None means default_drift_cap(gamma).
+    clip(T, -L, L)) have length P.  gamma is a scalar or a 1-d array of G
+    values, cap a scalar or one value per gamma (None: default_drift_cap).
+    Every gamma steps the same increments: the state has G*R columns,
+    gamma-major, each bit-identical to a call at its gamma alone.
 
     The step is T <- T + dW / sqrt(gamma) + clamp(drift, +-cap) * dt with
-    the whole state read at the start of the step.  observe(i, vals) is
-    called with the moving rows' state, shape (P, R), at every grid index i
-    including i = 0; the array is a view that the next step overwrites.
-    Returns the per-replicate clamp-event counts, shape (R,).
+    the whole state read at the start of the step.  Steps run in chunks of
+    k, sized so that the chunk's scaled noise (k, P, G*R) and its states
+    take about 512 KB each.  observe(i0, block) gets the moving rows' states
+    at grid indices i0 .. i0+k-1, a (k, P, G*R) view that the next chunk
+    overwrites: once for i0 = 0, then once per chunk.  A non-finite state
+    raises NonFiniteError at its first step and particle before its chunk
+    is observed.  Returns the per-replicate clamp-event counts, shape
+    np.shape(gamma) + (R,).
     """
     R, P, M = increments.shape
     F = 0 if barriers is None else barriers.shape[0]
@@ -148,8 +134,12 @@ def ensemble_scan(
         raise ValueError("barriers must have one value per grid point")
     if np.shape(start) != (P,):
         raise ValueError("start must hold one value per moving row")
-    cap = default_drift_cap(gamma) if cap is None else cap
-    sqg = np.sqrt(gamma)
+    gam = np.asarray(gamma, dtype=float)
+    G, GR = gam.size, gam.size * R
+    caps = [default_drift_cap(g) for g in gam.flat] if cap is None else cap
+    hi_cap = np.tile(np.repeat(np.broadcast_to(caps, (G,)), R), (P, 1))
+    lo_cap = -hi_cap
+    sqg = np.sqrt(gam).reshape(G, 1)
     lower, upper = topology.lower[:P], topology.upper[:P]
     pushed_up = np.flatnonzero(lower >= 0)
     pushed_dn = np.flatnonzero(upper >= 0)
@@ -158,55 +148,64 @@ def ensemble_scan(
     hi = np.concatenate([lower[pushed_up], pushed_dn])
     lo = np.concatenate([pushed_up, upper[pushed_dn]])
     E = n_up + n_dn
+    # a scalar multiplies faster than a row of equal values
+    g_mul = gam.item() if G == 1 else np.tile(np.repeat(gam, R), (E, 1))
     # row E of push stays 0: the push a row gets from a missing barrier
     up_edge = np.full(P, E)
     up_edge[pushed_up] = np.arange(n_up)
     dn_edge = np.full(P, E)
     dn_edge[pushed_dn] = n_up + np.arange(n_dn)
-    base = np.zeros((P, 1)) if drifts is None else np.reshape(drifts, (P, 1))
+    base = None if drifts is None else np.reshape(drifts, (P, 1))
     if truncation is not None:
         lim = np.concatenate([truncation, np.full(F, np.inf)])[:, None]
-
-    x = np.empty((P + F, R))
-    xp = x[:P]
-    xp[:] = np.reshape(start, (P, 1))
-    if F:
-        x[P:] = barriers[:, :1]
-    gap, far = np.empty((E, R)), np.empty((E, R))
-    push = np.zeros((E + 1, R))
-    drift, down, tamed, step = (np.empty((P, R)) for _ in range(4))
-    clamped = np.empty((P, R), dtype=bool)
-    clamps = np.zeros((P, R), dtype=int)
+    K = max(1, min(M, _CHUNK_BYTES // (8 * (P + F) * max(GR, 1))))
+    block, noise = np.empty((K + 1, P + F, GR)), np.empty((K, P, GR))
+    clamped = np.empty((K, P, GR), dtype=bool)
+    gap, far, push = np.empty((E, GR)), np.empty((E, GR)), np.zeros((E + 1, GR))
+    drift, down, tamed = (np.empty((P, GR)) for _ in range(3))
+    clamps = np.zeros(GR, dtype=int)
+    block[0, :P] = np.reshape(start, (P, 1))
     if observe is not None:
-        observe(0, xp)
-    for i in range(M):
-        v = x if truncation is None else np.clip(x, -lim, lim)
-        np.take(v, hi, axis=0, out=gap, mode="clip")
-        np.take(v, lo, axis=0, out=far, mode="clip")
-        np.subtract(gap, far, out=gap)
-        np.multiply(gap, gamma, out=gap)
-        np.minimum(gap, _EXP_MAX, out=gap)
-        np.exp(gap, out=push[:E])
-        np.take(push, up_edge, axis=0, out=drift, mode="clip")
-        np.add(base, drift, out=drift)
-        np.take(push, dn_edge, axis=0, out=down, mode="clip")
-        np.subtract(drift, down, out=drift)
-        np.maximum(drift, -cap, out=tamed)
-        np.minimum(tamed, cap, out=tamed)
-        np.not_equal(tamed, drift, out=clamped)
-        clamps += clamped
-        np.divide(increments[:, :, i].T, sqg, out=step)
-        xp += step
-        np.multiply(tamed, dt, out=tamed)
-        xp += tamed
-        if not np.isfinite(xp).all():
-            bad = np.argwhere(~np.isfinite(xp.T))[0]
-            raise NonFiniteError(step=i + 1, particle=int(bad[-1]))
+        observe(0, block[:1, :P])
+    for s in range(0, M, K):
+        k = min(K, M - s)
+        np.divide(increments[:, :, s : s + k].T[:, :, None], sqg,
+                  out=noise[:k].reshape(k, P, G, R))
         if F:
-            x[P:] = barriers[:, i + 1 : i + 2]
+            block[: k + 1, P:] = barriers[:, s : s + k + 1].T[:, :, None]
+        # a state gone non-finite stays so and raises after the chunk, so
+        # the inf - inf or overflow it meets on the way is not warned about
+        with np.errstate(invalid="ignore", over="ignore"):
+            for j in range(k):
+                v = block[j] if truncation is None else np.clip(
+                    block[j], -lim, lim)
+                # the take method skips np.take's Python-level wrapper
+                v.take(hi, 0, gap, "clip")
+                v.take(lo, 0, far, "clip")
+                np.subtract(gap, far, out=gap)
+                np.multiply(gap, g_mul, out=gap)
+                np.minimum(gap, _EXP_MAX, out=gap)
+                np.exp(gap, out=push[:E])
+                push.take(up_edge, 0, drift, "clip")
+                if base is not None:
+                    np.add(base, drift, out=drift)
+                push.take(dn_edge, 0, down, "clip")
+                np.subtract(drift, down, out=drift)
+                np.maximum(drift, lo_cap, out=tamed)
+                np.minimum(tamed, hi_cap, out=tamed)
+                np.not_equal(tamed, drift, out=clamped[j])
+                np.multiply(tamed, dt, out=tamed)
+                np.add(block[j, :P], noise[j], out=block[j + 1, :P])
+                block[j + 1, :P] += tamed
+        states = block[1 : k + 1, :P]
+        if not np.isfinite(states[-1]).all():
+            j, _, p = np.argwhere(~np.isfinite(states).transpose(0, 2, 1))[0]
+            raise NonFiniteError(step=s + int(j) + 1, particle=int(p))
+        clamps += np.count_nonzero(clamped[:k], axis=(0, 1))
         if observe is not None:
-            observe(i + 1, xp)
-    return clamps.sum(axis=0)
+            observe(s + 1, states)
+        block[0] = block[k]
+    return clamps.reshape(gam.shape + (R,))
 
 
 def _run_single(config, grid, noise, truncation):
@@ -221,8 +220,8 @@ def _run_single(config, grid, noise, truncation):
         raise ValueError("noise shape does not match config/grid")
     out = np.empty((tri_size(N), grid.npoints))
 
-    def keep(i, vals):
-        out[:, i] = vals[:, 0]
+    def keep(i0, block):
+        out[:, i0 : i0 + len(block)] = block[:, :, 0].T
 
     clamps = ensemble_scan(
         Topology.triangle(N), config.initial.entries, inc, config.gamma,
@@ -296,8 +295,8 @@ def _single_particle(topology, barriers, increments, start, gamma, cap):
         raise ValueError("increments do not match the barrier grid")
     out = np.empty((M + 1, R))
 
-    def keep(i, vals):
-        out[i] = vals[0]
+    def keep(i0, block):
+        out[i0 : i0 + len(block)] = block[:, 0]
 
     ensemble_scan(
         topology, [start], increments[:, None, :], gamma, grid.dt, cap,

@@ -56,6 +56,7 @@ def _cfg(N, gamma, initial=None):
     return ModelConfig(N=N, gamma=gamma, initial=initial)
 
 
+@pytest.mark.slow
 @pytest.mark.xfail(
     strict=False,
     reason="a delta-ball around phi decays at the ball infimum "
@@ -223,6 +224,7 @@ def test_criterion_6_smoothed_reflection_bound():
     assert ok
 
 
+@pytest.mark.slow
 def test_criterion_7_interlacing_dominance():
     freqs = interlace_event_frequency(
         [16.0, 64.0], 10_000, seed=909, dt=1e-4, batch_size=2000
@@ -244,6 +246,7 @@ def test_criterion_7_interlacing_dominance():
     assert ok
 
 
+@pytest.mark.slow
 def test_criterion_8_crossing_superexponentiality():
     grid = TimeGrid(0.0, 0.25, 250)
     init = TriangularConfiguration.zeros(2)

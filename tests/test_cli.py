@@ -183,6 +183,21 @@ def test_interlace_and_equivalence_run(capsys):
     assert "violation_fraction" in out.splitlines()[1]
 
 
+@pytest.mark.parametrize("command", ["interlace", "equivalence"])
+@pytest.mark.parametrize("gammas", ["0", "16,-1", "nan", "inf"])
+def test_bad_gamma_exits_one(command, gammas, capsys, tmp_path):
+    argv = [command, "--samples", "10", "--dt", "0.1"]
+    code, out, err = run(argv + ["--gammas", gammas], capsys)
+    assert code == 1
+    assert out == "" and "gamma" in err
+    # gammas from a config file skip the flag parser; the library rejects them
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"gammas": [16.0, float(gammas.split(",")[-1])]}))
+    code, _, err = run(argv + ["--config", str(cfg)], capsys)
+    assert code == 1
+    assert "gamma" in err
+
+
 def test_every_flag_is_read_by_its_handler():
     # a flag the handler never reads is advertised but ignored
     _, registry = _build_parser()

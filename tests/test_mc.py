@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy.special import ndtr
@@ -6,7 +8,9 @@ from whittaker2d import (
     ModelConfig,
     PathBundle,
     TimeGrid,
+    Topology,
     TriangularConfiguration,
+    ensemble_scan,
     equivalence_experiment,
     interlace_event_frequency,
     ldp_slope,
@@ -14,6 +18,7 @@ from whittaker2d import (
     wilson_interval,
 )
 from whittaker2d.mc import DegenerateFitError, EmptySampleError
+from whittaker2d.noise import ensemble_increments
 
 
 def _flat_target(N, grid):
@@ -227,3 +232,88 @@ def test_equivalence_degenerate_eta():
     assert rep.violation_fraction >= 0.0
     with pytest.raises(ValueError):
         equivalence_experiment(8.0, -0.1, grid, 100, seed=12)
+
+
+def test_interlace_gamma_sweep_equals_one_gamma_at_a_time():
+    # one draw and one scan for both gammas, clamps included at gamma 2
+    both = interlace_event_frequency(
+        [2.0, 16.0], 300, seed=8, dt=1e-2, batch_size=70
+    )
+    alone = [
+        interlace_event_frequency([g], 300, seed=8, dt=1e-2, batch_size=70)[0]
+        for g in (2.0, 16.0)
+    ]
+    assert both == alone
+    for a, b in zip(both, alone):
+        for field in a.__dataclass_fields__:
+            assert repr(getattr(a, field)) == repr(getattr(b, field))
+    assert both[0].clamp_contamination > 0
+
+
+def test_interlace_frequencies_match_stored_paths():
+    # A, B and C recomputed from the whole stored paths of T0, T+, T-, T;
+    # narrow margins so that every event happens at both gammas
+    gammas, n = [2.0, 16.0], 300
+    freqs = interlace_event_frequency(
+        gammas, n, seed=8, dt=1e-2, margin_scale=0.1, batch_size=70
+    )
+    grid = TimeGrid(0.0, 1.0, 100)
+    inc = ensemble_increments(8, range(n), grid, 4)
+    four = Topology.triangle(3).restrict([0, 1, 2, 4])
+    for gamma, freq in zip(gammas, freqs):
+        blocks = []
+        clamps = ensemble_scan(
+            four, np.zeros(4), inc, gamma, grid.dt, None,
+            observe=lambda i0, block: blocks.append(block.copy()),
+        )
+        t0, tp, tm, t = np.concatenate(blocks).transpose(1, 2, 0)
+        f, g = freq.margins.f, freq.margins.g
+        a = np.min(np.minimum(tp - t0, t0 - tm), axis=1) < -f
+        b = np.min(np.minimum(tp - t, t - tm), axis=1) < -2 * g
+        c = np.min(tp - tm, axis=1) < -g
+        counts = [np.count_nonzero(e) for e in (a, b, c, clamps)]
+        assert min(counts[:3]) > 0
+        assert [freq.a_violation, freq.b_violation, freq.c_violation,
+                freq.clamp_contamination] == [k / n for k in counts]
+
+
+_FLAT1 = _flat_target(1, TimeGrid(0.0, 1.0, 10))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda b: smallball_probability(
+            _cfg(1, 4.0), _FLAT1, 0.5, 10, seed=1, batch_size=b),
+        lambda b: ldp_slope(
+            _cfg(1, 4.0), _FLAT1, 0.5, [2.0, 4.0, 8.0], 10, seed=1,
+            batch_size=b),
+        lambda b: interlace_event_frequency(
+            [16.0], 10, seed=1, dt=0.1, batch_size=b),
+        lambda b: equivalence_experiment(
+            8.0, 0.1, TimeGrid(0.0, 1.0, 10), 10, seed=1, batch_size=b),
+    ],
+    ids=["smallball_probability", "ldp_slope", "interlace_event_frequency",
+         "equivalence_experiment"],
+)
+def test_batch_size_below_one_rejected(call):
+    # a batch of 0 would never advance through the replicates
+    for b in (0, -3):
+        with pytest.raises(ValueError, match="batch_size"):
+            call(b)
+
+
+@pytest.mark.parametrize("gamma", [0.0, -1.0, np.nan, np.inf])
+def test_bad_gamma_rejected_at_the_boundary(gamma):
+    grid = TimeGrid(0.0, 1.0, 10)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="gamma"):
+            interlace_event_frequency([16.0, gamma], 10, seed=1, dt=0.1)
+        with pytest.raises(ValueError, match="gamma"):
+            equivalence_experiment(gamma, 0.1, grid, 10, seed=1)
+        with pytest.raises(ValueError, match="gamma"):
+            _cfg(1, gamma)
+        with pytest.raises(ValueError, match="gamma"):
+            ldp_slope(_cfg(1, 4.0), _FLAT1, 0.5, [2.0, 4.0, gamma], 10,
+                      seed=1)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -218,7 +220,7 @@ def test_four_particle_scan_shapes_and_symmetry():
     states = []
 
     def observe(i, vals):
-        states.append(vals.copy())
+        states.extend(v.copy() for v in vals)
 
     clamps = ensemble_scan(
         FOUR_PARTICLE, np.zeros(4), inc, gamma, grid.dt, None,
@@ -290,7 +292,7 @@ def test_scan_matches_reference_loop(topology, barriers):
     states = []
     clamps = ensemble_scan(
         topology, start, inc, gamma, grid.dt, cap, barriers=fixed,
-        observe=lambda i, vals: states.append(vals.T.copy()),
+        observe=lambda i, vals: states.extend(v.T.copy() for v in vals),
     )
     got = np.stack(states, axis=-1)  # (R, P, M+1)
     expect, expect_clamps = _reference_scan(
@@ -348,3 +350,87 @@ def test_scan_rejects_mismatched_shapes():
         )
     with pytest.raises(ValueError):
         simulate(_config(2, 8.0), grid, NoiseBundle.zero(TimeGrid(0, 1, 9), 3))
+
+
+def _scan_blocks(topology, inc, gamma, cap, **kw):
+    """States of every grid index, shape (M+1, P, G*R), the clamp counts
+    and the grid index each observe call started at."""
+    blocks, starts = [], []
+
+    def observe(i0, block):
+        starts.append(i0)
+        blocks.append(block.copy())
+
+    clamps = ensemble_scan(
+        topology, np.zeros(inc.shape[1]), inc, gamma, 0.01, cap,
+        observe=observe, **kw,
+    )
+    return np.concatenate(blocks), clamps, starts
+
+
+_T = np.linspace(0.0, 2.0, 401)
+_STACKED_CASES = {
+    # gamma 2 clamps under the default cap
+    "four-particle": (FOUR_PARTICLE, [2.0, 16.0, 64.0], None, {}),
+    "four-particle-caps": (FOUR_PARTICLE, [2.0, 8.0], [0.5, 3.0], {}),
+    "two-barrier": (
+        Topology([1, -1, -1], [2, -1, -1]), [4.0, 32.0], 0.8,
+        {"barriers": np.stack([-_T - 0.05, _T * _T + 0.05])},
+    ),
+    "truncated-drifts": (
+        Topology.triangle(3), [2.0, 8.0], None,
+        {"drifts": [0.3, -0.2, -0.2, 0.1, 0.1, 0.1],
+         "truncation": [0.05, 0.1, 0.1, 0.2, 0.2, 0.2]},
+    ),
+}
+
+
+@pytest.mark.parametrize("steps", ["one", "chunk", "chunk+1"])
+@pytest.mark.parametrize("case", list(_STACKED_CASES))
+def test_scan_gamma_vector_equals_one_call_per_gamma(case, steps):
+    topology, gammas, cap, kw = _STACKED_CASES[case]
+    R = 60  # enough columns that a chunk is shorter than the 400-step probe
+    P = topology.size - len(kw.get("barriers", ()))
+
+    def with_steps(M):
+        if "barriers" not in kw:
+            return kw
+        return dict(kw, barriers=kw["barriers"][:, : M + 1])
+
+    # the chunk length, read off a run long enough to span several chunks
+    starts = _scan_blocks(
+        topology, np.zeros((R, P, 400)), gammas, cap, **with_steps(400)
+    )[2]
+    chunk = starts[2] - starts[1]
+    M = {"one": 1, "chunk": chunk, "chunk+1": chunk + 1}[steps]
+    kw = with_steps(M)
+    inc = ensemble_increments(21, range(R), TimeGrid(0.0, 1.0, M), P)
+    states, clamps, starts = _scan_blocks(topology, inc, gammas, cap, **kw)
+    assert states.shape == (M + 1, P, len(gammas) * R)
+    assert clamps.shape == (len(gammas), R)
+    assert starts == [0] + list(range(1, M + 1, chunk))
+    caps = cap if isinstance(cap, list) else [cap] * len(gammas)
+    for g, (gamma, c) in enumerate(zip(gammas, caps)):
+        alone, alone_clamps, _ = _scan_blocks(topology, inc, gamma, c, **kw)
+        assert alone_clamps.shape == (R,)
+        assert states[:, :, g * R : (g + 1) * R].tobytes() == alone.tobytes()
+        assert clamps[g].tobytes() == alone_clamps.tobytes()
+    if case == "four-particle" and steps != "one":
+        assert clamps[0].sum() > 0
+
+
+def test_scan_non_finite_mid_chunk_raises_without_warnings():
+    # (1,1) and (2,1) turn +inf together, so the next step meets inf - inf
+    # in the (2,1) push; the chunk runs on and the check after it raises
+    inc = np.zeros((4, 3, 300))
+    inc[2, :2, 150] = np.inf
+    starts = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteError) as err:
+            ensemble_scan(
+                Topology.triangle(2), np.zeros(3), inc, [8.0, 16.0], 0.01,
+                None, observe=lambda i0, block: starts.append(i0),
+            )
+    assert (err.value.step, err.value.particle) == (151, 0)
+    assert starts == [0]  # one chunk holds all 300 steps; it is not observed
