@@ -51,16 +51,19 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _positive_gammas(values) -> list[float]:
+    """values as floats, once every one is positive and finite."""
+    gammas = [float(g) for g in values]
+    if not all(0.0 < g < np.inf for g in gammas):
+        raise ValueError(f"gammas must be positive and finite, got {gammas}")
+    return gammas
+
+
 def _gamma_list(text: str) -> list[float]:
     try:
-        gammas = [float(x) for x in text.split(",") if x.strip()]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"bad gamma list {text!r}")
-    if not all(0.0 < g < np.inf for g in gammas):
-        raise argparse.ArgumentTypeError(
-            f"bad gamma list {text!r}: need positive finite values"
-        )
-    return gammas
+        return _positive_gammas(x for x in text.split(",") if x.strip())
+    except ValueError as e:
+        raise argparse.ArgumentTypeError(f"bad gamma list {text!r}: {e}")
 
 
 def _load_config_file(path: str) -> dict:
@@ -440,7 +443,7 @@ def main(argv=None) -> int:
                     f"unknown config keys: {', '.join(unknown)}"
                 )
             if "gammas" in file_cfg:
-                file_cfg["gammas"] = [float(g) for g in file_cfg["gammas"]]
+                file_cfg["gammas"] = _positive_gammas(file_cfg["gammas"])
             # flags still win: set file values as defaults and reparse
             parser, registry = _build_parser()
             registry[args.command].set_defaults(**file_cfg)

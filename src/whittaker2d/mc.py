@@ -330,6 +330,8 @@ def interlace_event_frequency(
     if n_samples <= 0:
         raise EmptySampleError("n_samples must be positive")
     gammas = _checked_gammas(gammas, batch_size)
+    if gammas.size == 0:
+        return []
     grid = TimeGrid(0.0, 1.0, round(1.0 / dt))
     margins = [InterlaceBounds.from_gamma(g) for g in gammas]
     f = [margin_scale * m.f for m in margins]

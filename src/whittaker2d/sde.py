@@ -25,15 +25,30 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._logquad import log_cumtrapz_exp
-from .model import ModelConfig, PathBundle, SamplePath, TimeGrid, Topology
-from .model import tri_size
+from .model import (
+    ModelConfig,
+    PathBundle,
+    SamplePath,
+    TimeGrid,
+    Topology,
+    tri_size,
+)
 from .noise import NoiseBundle
 
 __all__ = [
-    "TruncationLevels", "SimulationResult", "NonFiniteError", "DomainError",
-    "simulate", "ensemble_scan", "simulate_truncated", "solve_edge_exact",
-    "simulate_lower_barrier_euler", "simulate_two_barrier",
-    "equivalence_gap", "GapReport", "escape_probability_bound",
+    "TruncationLevels",
+    "SimulationResult",
+    "NonFiniteError",
+    "DomainError",
+    "simulate",
+    "ensemble_scan",
+    "simulate_truncated",
+    "solve_edge_exact",
+    "simulate_lower_barrier_euler",
+    "simulate_two_barrier",
+    "equivalence_gap",
+    "GapReport",
+    "escape_probability_bound",
     "default_drift_cap",
 ]
 
@@ -99,8 +114,16 @@ class SimulationResult:
 
 
 def ensemble_scan(
-    topology: Topology, start, increments: np.ndarray, gamma, dt: float, cap,
-    drifts=None, truncation=None, barriers=None, observe=None,
+    topology: Topology,
+    start,
+    increments: np.ndarray,
+    gamma,
+    dt: float,
+    cap,
+    drifts=None,
+    truncation=None,
+    barriers=None,
+    observe=None,
 ) -> np.ndarray:
     """Step an ensemble of replicates of the system wired by topology at
     one gamma or at several.
@@ -148,8 +171,7 @@ def ensemble_scan(
     hi = np.concatenate([lower[pushed_up], pushed_dn])
     lo = np.concatenate([pushed_up, upper[pushed_dn]])
     E = n_up + n_dn
-    # a scalar multiplies faster than a row of equal values
-    g_mul = gam.item() if G == 1 else np.tile(np.repeat(gam, R), (E, 1))
+    g_row = np.tile(np.repeat(gam, R), (E, 1))
     # row E of push stays 0: the push a row gets from a missing barrier
     up_edge = np.full(P, E)
     up_edge[pushed_up] = np.arange(n_up)
@@ -183,7 +205,7 @@ def ensemble_scan(
                 v.take(hi, 0, gap, "clip")
                 v.take(lo, 0, far, "clip")
                 np.subtract(gap, far, out=gap)
-                np.multiply(gap, g_mul, out=gap)
+                np.multiply(gap, g_row, out=gap)
                 np.minimum(gap, _EXP_MAX, out=gap)
                 np.exp(gap, out=push[:E])
                 push.take(up_edge, 0, drift, "clip")

@@ -190,12 +190,12 @@ def test_bad_gamma_exits_one(command, gammas, capsys, tmp_path):
     code, out, err = run(argv + ["--gammas", gammas], capsys)
     assert code == 1
     assert out == "" and "gamma" in err
-    # gammas from a config file skip the flag parser; the library rejects them
+    # gammas from a config file are checked before any output too
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"gammas": [16.0, float(gammas.split(",")[-1])]}))
-    code, _, err = run(argv + ["--config", str(cfg)], capsys)
+    code, out, err = run(argv + ["--config", str(cfg)], capsys)
     assert code == 1
-    assert "gamma" in err
+    assert out == "" and "gamma" in err
 
 
 def test_every_flag_is_read_by_its_handler():

@@ -248,6 +248,8 @@ def test_interlace_gamma_sweep_equals_one_gamma_at_a_time():
         for field in a.__dataclass_fields__:
             assert repr(getattr(a, field)) == repr(getattr(b, field))
     assert both[0].clamp_contamination > 0
+    # an empty sweep has nothing to step
+    assert interlace_event_frequency([], 300, seed=8, dt=1e-2) == []
 
 
 def test_interlace_frequencies_match_stored_paths():
