@@ -9,12 +9,12 @@ import numpy as np
 
 from whittaker2d import (
     ModelConfig,
-    Seed,
     TimeGrid,
     TriangularConfiguration,
     interlacing_defect,
-    sample_noise,
+    sample_increments,
     simulate,
+    tri_size,
 )
 
 
@@ -27,7 +27,7 @@ def main():
     )
 
     for replicate in range(3):
-        noise = sample_noise(Seed(2024, replicate), grid, N)
+        noise = sample_increments(2024, replicate, grid, tri_size(N))
         result = simulate(config, grid, noise)
         bundle = result.bundle
         terminal = bundle.at_time(grid.steps)
@@ -47,7 +47,7 @@ def main():
     tight = ModelConfig(
         N=N, gamma=512.0, initial=TriangularConfiguration.zeros(N)
     )
-    noise = sample_noise(Seed(2024, 0), grid, N)
+    noise = sample_increments(2024, 0, grid, tri_size(N))
     result = simulate(tight, grid, noise)
     spread = np.max(np.abs(result.bundle.values))
     print(f"gamma=512 keeps the array within {spread:.4f} of the start")

@@ -4,151 +4,24 @@ A simulator, Skorokhod reflection toolkit, action (rate) functional, path
 optimizer, and Monte Carlo experiment layer for the scaled triangular SDE
 system in which each particle is pushed off the two particles one level
 above it, together with the limiting one-sided reflection picture.
+
+Each module's __all__ is the one list of its public names; the package
+re-exports them all.
 """
 
-from .model import (
-    InterlaceBounds,
-    InterlaceReport,
-    ModelConfig,
-    PathBundle,
-    SamplePath,
-    TimeGrid,
-    Topology,
-    TriangularConfiguration,
-    TriIndex,
-    bundle_from_csv,
-    bundle_to_csv,
-    interlacing_defect,
-    tri_indices,
-    tri_offset,
-    tri_size,
-    validate_initial,
-)
-from .noise import (
-    NoiseBundle,
-    Seed,
-    ensemble_increments,
-    sample_increments,
-    sample_noise,
-)
-from .sde import (
-    DomainError,
-    GapReport,
-    NonFiniteError,
-    SimulationResult,
-    TruncationLevels,
-    default_drift_cap,
-    ensemble_scan,
-    equivalence_gap,
-    escape_probability_bound,
-    simulate,
-    simulate_lower_barrier_euler,
-    simulate_truncated,
-    simulate_two_barrier,
-    solve_edge_exact,
-)
-from .skorokhod import (
-    ReflectionResult,
-    reflect_above,
-    reflect_below,
-    smoothed_reflection_term,
-)
-from .rate import (
-    ALTERNATE,
-    LEMMA,
-    CellLabel,
-    CoincidenceClassification,
-    InfeasibleError,
-    RateBreakdown,
-    brute_force_local_rate,
-    classify,
-    default_coincidence_eps,
-    local_rate_lower,
-    local_rate_upper,
-    particle_rate,
-    schilder_rate,
-    total_rate,
-)
-from .varopt import MinimizeResult, VariationalProblem, minimize_rate
-from .mc import (
-    EquivalenceReport,
-    EstimatorResult,
-    InterlaceFrequencies,
-    SlopeFit,
-    equivalence_experiment,
-    interlace_event_frequency,
-    ldp_slope,
-    smallball_probability,
-    wilson_interval,
-)
+from . import mc, model, noise, rate, sde, skorokhod, varopt
+from .model import *  # noqa: F401,F403
+from .noise import *  # noqa: F401,F403
+from .sde import *  # noqa: F401,F403
+from .skorokhod import *  # noqa: F401,F403
+from .rate import *  # noqa: F401,F403
+from .varopt import *  # noqa: F401,F403
+from .mc import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    "TriIndex",
-    "TimeGrid",
-    "SamplePath",
-    "TriangularConfiguration",
-    "PathBundle",
-    "ModelConfig",
-    "InterlaceBounds",
-    "InterlaceReport",
-    "Topology",
-    "interlacing_defect",
-    "validate_initial",
-    "tri_size",
-    "tri_offset",
-    "tri_indices",
-    "bundle_to_csv",
-    "bundle_from_csv",
-    "Seed",
-    "NoiseBundle",
-    "sample_noise",
-    "ensemble_increments",
-    "sample_increments",
-    "TruncationLevels",
-    "SimulationResult",
-    "simulate",
-    "simulate_truncated",
-    "simulate_lower_barrier_euler",
-    "simulate_two_barrier",
-    "ensemble_scan",
-    "solve_edge_exact",
-    "default_drift_cap",
-    "equivalence_gap",
-    "escape_probability_bound",
-    "GapReport",
-    "NonFiniteError",
-    "DomainError",
-    "ReflectionResult",
-    "reflect_above",
-    "reflect_below",
-    "smoothed_reflection_term",
-    "LEMMA",
-    "ALTERNATE",
-    "CellLabel",
-    "CoincidenceClassification",
-    "classify",
-    "default_coincidence_eps",
-    "local_rate_lower",
-    "local_rate_upper",
-    "particle_rate",
-    "schilder_rate",
-    "total_rate",
-    "RateBreakdown",
-    "InfeasibleError",
-    "brute_force_local_rate",
-    "VariationalProblem",
-    "MinimizeResult",
-    "minimize_rate",
-    "EstimatorResult",
-    "SlopeFit",
-    "InterlaceFrequencies",
-    "EquivalenceReport",
-    "wilson_interval",
-    "smallball_probability",
-    "ldp_slope",
-    "interlace_event_frequency",
-    "equivalence_experiment",
+__all__ = ["__version__"] + [
+    name
+    for module in (model, noise, sde, skorokhod, rate, varopt, mc)
+    for name in module.__all__
 ]

@@ -29,8 +29,9 @@ from .model import (
     bundle_to_csv,
     configuration_from_csv,
     tri_indices,
+    tri_size,
 )
-from .noise import Seed, sample_noise
+from .noise import ensemble_increments
 from .rate import LEMMA, default_coincidence_eps, total_rate
 from .sde import DomainError, NonFiniteError, simulate
 from .skorokhod import reflect_above, reflect_below
@@ -129,13 +130,6 @@ def _read_path_csv(path: str) -> SamplePath:
     return SamplePath(grid, v)
 
 
-def _grid(t0: float, t1: float, dt: float) -> TimeGrid:
-    steps = round((t1 - t0) / dt)
-    if steps < 1 or abs(steps * dt - (t1 - t0)) > 1e-9 * max(1.0, t1 - t0):
-        raise UsageError(f"dt={dt} does not divide [{t0}, {t1}]")
-    return TimeGrid(t0, t1, steps)
-
-
 # ---------------------------------------------------------------------------
 # subcommand handlers
 
@@ -145,8 +139,9 @@ def _cmd_simulate(args) -> int:
     config = ModelConfig(
         N=args.n, gamma=args.gamma, initial=init, drift_cap=args.drift_cap
     )
-    grid = _grid(args.t0, args.t1, args.dt)
-    noise = sample_noise(Seed(args.seed, args.replicate), grid, args.n)
+    grid = TimeGrid.from_dt(args.t0, args.t1, args.dt)
+    reps = range(args.replicate, args.replicate + 1)
+    noise = ensemble_increments(args.seed, reps, grid, tri_size(args.n))[0]
     result = simulate(config, grid, noise)
     with _output(args.out) as f:
         bundle_to_csv(
@@ -211,7 +206,7 @@ def _cmd_reflect(args) -> int:
 
 
 def _cmd_slope(args) -> int:
-    grid = _grid(args.t0, args.t1, args.dt)
+    grid = TimeGrid.from_dt(args.t0, args.t1, args.dt)
     if args.bundle is not None:
         with open(args.bundle) as f:
             phi = bundle_from_csv(f)
@@ -269,7 +264,7 @@ def _cmd_interlace(args) -> int:
 
 
 def _cmd_equivalence(args) -> int:
-    grid = _grid(args.t0, args.t1, args.dt)
+    grid = TimeGrid.from_dt(args.t0, args.t1, args.dt)
     with _output(args.out) as f:
         f.write(f"# config={_resolved(args)}\n")
         f.write(

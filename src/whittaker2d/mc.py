@@ -28,6 +28,7 @@ from .model import (
 from .noise import ensemble_increments
 from .rate import default_coincidence_eps, total_rate
 from .sde import (
+    _gap_budget,
     ensemble_scan,
     simulate_lower_barrier_euler,
     simulate_two_barrier,
@@ -38,8 +39,6 @@ __all__ = [
     "SlopeFit",
     "InterlaceFrequencies",
     "EquivalenceReport",
-    "EmptySampleError",
-    "DegenerateFitError",
     "wilson_interval",
     "smallball_probability",
     "ldp_slope",
@@ -323,20 +322,22 @@ def interlace_event_frequency(
 ) -> list[InterlaceFrequencies]:
     """Violation frequencies for the four-particle system from zero starts.
 
-    Each batch is drawn once and stepped at every gamma in one scan.
-    margin_scale multiplies every margin (frequencies must not increase
-    when the margins are widened).
+    Each batch is drawn once and stepped at every gamma in one scan.  dt
+    must divide [0, 1] (TimeGrid.from_dt).  margin_scale multiplies every
+    margin (frequencies must not increase when the margins are widened).
     """
     if n_samples <= 0:
         raise EmptySampleError("n_samples must be positive")
     gammas = _checked_gammas(gammas, batch_size)
+    grid = TimeGrid.from_dt(0.0, 1.0, dt)
     if gammas.size == 0:
         return []
-    grid = TimeGrid(0.0, 1.0, round(1.0 / dt))
-    margins = [InterlaceBounds.from_gamma(g) for g in gammas]
-    f = [margin_scale * m.f for m in margins]
-    g = [margin_scale * m.g for m in margins]
-    f_col, g_col = np.c_[f], np.c_[g]
+    margins = [
+        InterlaceBounds(margin_scale * InterlaceBounds.from_gamma(g).f)
+        for g in gammas
+    ]
+    f_col = np.c_[[m.f for m in margins]]
+    g_col = np.c_[[m.g for m in margins]]
     # per gamma: a, b, c violations and clamped replicates
     bad = np.zeros((4, gammas.size), dtype=int)
     for reps in _batches(n_samples, batch_size):
@@ -366,10 +367,9 @@ def interlace_event_frequency(
             b_violation=int(n_b) / n_samples,
             c_violation=int(n_c) / n_samples,
             clamp_contamination=int(n_clamped) / n_samples,
-            margins=InterlaceBounds(f=fj, g=gj),
+            margins=m,
         )
-        for gamma, fj, gj, (n_a, n_b, n_c, n_clamped)
-        in zip(gammas, f, g, bad.T)
+        for gamma, m, (n_a, n_b, n_c, n_clamped) in zip(gammas, margins, bad.T)
     ]
 
 
@@ -421,7 +421,7 @@ def equivalence_experiment(
         lower = SamplePath.constant(grid, start - 0.05)
     if upper is None:
         upper = SamplePath.constant(grid, start + eta + 0.2)
-    budget = float(np.exp(-gamma * eta / 2.0) * (grid.b - grid.a))
+    budget = _gap_budget(gamma, eta, grid)
     in_tube = violations = 0
     max_gap = 0.0
     for reps in _batches(n_samples, batch_size):

@@ -15,7 +15,6 @@ operations are pure, so everything is safe to share across workers.
 from __future__ import annotations
 
 import functools
-import io
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -29,11 +28,11 @@ __all__ = [
     "PathBundle",
     "ModelConfig",
     "InterlaceBounds",
+    "InterlaceReport",
     "Topology",
     "tri_indices",
     "tri_offset",
     "tri_size",
-    "validate_initial",
     "interlacing_defect",
     "bundle_to_csv",
     "bundle_from_csv",
@@ -51,20 +50,6 @@ class TriIndex(NamedTuple):
     def validate(self, N: int) -> None:
         if not (1 <= self.k <= self.n <= N):
             raise ValueError(f"invalid triangular index {self} for N={N}")
-
-    @property
-    def upper_barrier(self) -> "TriIndex | None":
-        """Index of the particle bounding this one from above, if any."""
-        if self.k >= 2:
-            return TriIndex(self.n - 1, self.k - 1)
-        return None
-
-    @property
-    def lower_barrier(self) -> "TriIndex | None":
-        """Index of the particle bounding this one from below, if any."""
-        if self.k <= self.n - 1:
-            return TriIndex(self.n - 1, self.k)
-        return None
 
 
 def tri_size(N: int) -> int:
@@ -124,14 +109,13 @@ class Topology:
     @staticmethod
     @functools.cache
     def triangle(N: int) -> "Topology":
-        """The N-level triangle, rows in level-major order."""
-        def row(idx):
-            return -1 if idx is None else tri_offset(*idx)
-
+        """The N-level triangle, rows in level-major order: (n, k) is
+        bounded below by (n-1, k) when k < n and above by (n-1, k-1) when
+        k > 1."""
         idx = tri_indices(N)
         return Topology(
-            [row(i.lower_barrier) for i in idx],
-            [row(i.upper_barrier) for i in idx],
+            [tri_offset(n - 1, k) if k < n else -1 for n, k in idx],
+            [tri_offset(n - 1, k - 1) if k > 1 else -1 for n, k in idx],
         )
 
     def restrict(self, rows) -> "Topology":
@@ -143,6 +127,11 @@ class Topology:
             [new.get(int(self.lower[r]), -1) for r in rows],
             [new.get(int(self.upper[r]), -1) for r in rows],
         )
+
+
+def _check_levels(N: int) -> None:
+    if N < 1:
+        raise ValueError(f"need at least one level, got N={N}")
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -176,6 +165,18 @@ class TimeGrid:
     @property
     def npoints(self) -> int:
         return self.steps + 1
+
+    @staticmethod
+    def from_dt(a: float, b: float, dt: float) -> "TimeGrid":
+        """The grid on [a, b] with step dt, which must be positive, finite
+        and divide b - a to a relative 1e-9."""
+        if not (np.isfinite(dt) and dt > 0):
+            raise ValueError(f"dt must be positive and finite, got {dt}")
+        ratio = (b - a) / dt  # inf for a subnormal dt, which fails below
+        steps = round(ratio) if np.isfinite(ratio) else 0
+        if steps < 1 or abs(steps * dt - (b - a)) > 1e-9 * max(1.0, b - a):
+            raise ValueError(f"dt={dt} does not divide [{a}, {b}]")
+        return TimeGrid(a, b, steps)
 
 
 @dataclass(frozen=True)
@@ -213,6 +214,7 @@ class TriangularConfiguration:
     entries: np.ndarray
 
     def __post_init__(self):
+        _check_levels(self.N)
         e = _frozen(self.entries)
         if e.shape != (tri_size(self.N),):
             raise ValueError(
@@ -223,20 +225,9 @@ class TriangularConfiguration:
             raise ValueError("configuration contains non-finite entries")
         object.__setattr__(self, "entries", e)
 
-    def value(self, n: int, k: int) -> float:
-        TriIndex(n, k).validate(self.N)
-        return float(self.entries[tri_offset(n, k)])
-
     @staticmethod
     def zeros(N: int) -> "TriangularConfiguration":
         return TriangularConfiguration(N, np.zeros(tri_size(N)))
-
-    @staticmethod
-    def from_dict(N: int, values: dict) -> "TriangularConfiguration":
-        entries = np.zeros(tri_size(N))
-        for (n, k), v in values.items():
-            entries[tri_offset(n, k)] = v
-        return TriangularConfiguration(N, entries)
 
 
 @dataclass(frozen=True)
@@ -251,6 +242,7 @@ class PathBundle:
     values: np.ndarray
 
     def __post_init__(self):
+        _check_levels(self.N)
         v = _frozen(self.values)
         if v.shape != (tri_size(self.N), self.grid.npoints):
             raise ValueError(
@@ -331,20 +323,18 @@ class InterlaceBounds:
     """
 
     f: float
-    g: float = field(default=0.0)
 
     def __post_init__(self):
-        g = self.g if self.g else 2.0 * self.f
-        if self.f <= 0 or g <= 0:
+        if self.f <= 0:
             raise ValueError("margins must be positive")
-        if abs(g - 2.0 * self.f) > 1e-12 * max(1.0, g):
-            raise ValueError("need g = 2 f")
-        object.__setattr__(self, "g", g)
+
+    @property
+    def g(self) -> float:
+        return 2.0 * self.f
 
     @staticmethod
     def from_gamma(gamma: float) -> "InterlaceBounds":
-        f = 1.0 / np.sqrt(gamma)
-        return InterlaceBounds(f=f, g=2.0 * f)
+        return InterlaceBounds(f=1.0 / np.sqrt(gamma))
 
     def f_level(self, n: int) -> float:
         return 4 ** (n - 1) * self.f
@@ -370,13 +360,6 @@ def validate_initial_entries(N: int, entries: np.ndarray) -> list:
         if defect < 0:
             violations.append((idx[hi], idx[lo], float(defect)))
     return violations
-
-
-def validate_initial(config: ModelConfig) -> list:
-    """Empty list if the initial configuration is interlaced, else the
-    violation report.  ModelConfig already enforces this at construction;
-    the function exists for checking candidate configurations."""
-    return validate_initial_entries(config.N, config.initial.entries)
 
 
 @dataclass(frozen=True)
@@ -527,9 +510,3 @@ def configuration_from_csv(f) -> TriangularConfiguration:
         raise ValueError(f"{P} columns is not a triangular count")
     entries = np.asarray([float(x) for x in lines[1].split(",")])
     return TriangularConfiguration(N, entries)
-
-
-def bundle_to_csv_string(bundle: PathBundle, comments=None) -> str:
-    buf = io.StringIO()
-    bundle_to_csv(buf, bundle, comments)
-    return buf.getvalue()

@@ -16,26 +16,12 @@ scaling itself; noise is gamma-free.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from numpy.random import Generator, Philox
 
-from .model import TimeGrid, tri_size
+from .model import TimeGrid
 
-__all__ = ["Seed", "NoiseBundle", "sample_noise", "sample_increments",
-           "ensemble_increments"]
-
-
-@dataclass(frozen=True)
-class Seed:
-    """Root seed plus replicate index; together they name a stream family."""
-
-    seed: int
-    replicate: int = 0
-
-    def with_replicate(self, replicate: int) -> "Seed":
-        return Seed(self.seed, replicate)
+__all__ = ["sample_increments", "ensemble_increments"]
 
 
 def sample_increments(
@@ -82,49 +68,3 @@ def ensemble_increments(
             rng.standard_normal(out=out[i, p])
     out *= np.sqrt(grid.dt)
     return out
-
-
-@dataclass(frozen=True)
-class NoiseBundle:
-    """Brownian increments per triangular particle on a grid.
-
-    increments has shape (P, M); cumulative() gives W on the grid points
-    with W(a) = 0, shape (P, M+1).
-    """
-
-    grid: TimeGrid
-    increments: np.ndarray
-
-    def __post_init__(self):
-        inc = np.array(self.increments, dtype=float)
-        if inc.ndim != 2 or inc.shape[1] != self.grid.steps:
-            raise ValueError(
-                f"increments shape {inc.shape} does not match grid with "
-                f"{self.grid.steps} steps"
-            )
-        inc.flags.writeable = False
-        object.__setattr__(self, "increments", inc)
-
-    @property
-    def n_streams(self) -> int:
-        return self.increments.shape[0]
-
-    def cumulative(self) -> np.ndarray:
-        P = self.n_streams
-        w = np.zeros((P, self.grid.npoints))
-        np.cumsum(self.increments, axis=1, out=w[:, 1:])
-        return w
-
-    def path(self, p: int) -> np.ndarray:
-        """Cumulative W for one stream, starting at 0."""
-        return np.concatenate(([0.0], np.cumsum(self.increments[p])))
-
-    @staticmethod
-    def zero(grid: TimeGrid, n_streams: int) -> "NoiseBundle":
-        return NoiseBundle(grid, np.zeros((n_streams, grid.steps)))
-
-
-def sample_noise(seed: Seed, grid: TimeGrid, N: int) -> NoiseBundle:
-    """Noise for a full triangle of N levels (N(N+1)/2 streams)."""
-    inc = sample_increments(seed.seed, seed.replicate, grid, tri_size(N))
-    return NoiseBundle(grid, inc)

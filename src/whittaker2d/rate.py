@@ -40,9 +40,9 @@ from .model import (
 from .skorokhod import reflect_above
 
 __all__ = [
+    "LEMMA",
+    "ALTERNATE",
     "CellLabel",
-    "CoincidenceClassification",
-    "ParticleTerms",
     "RateBreakdown",
     "InfeasibleError",
     "classify",
@@ -75,21 +75,6 @@ class CellLabel(enum.IntEnum):
 # the labels as plain ints: numpy compares an int8 array with an IntEnum
 # member by first widening the array to int64
 _INTERIOR, _UPPER, _LOWER, _BOTH, _CROSSING = map(int, CellLabel)
-
-
-@dataclass(frozen=True)
-class CoincidenceClassification:
-    """Per-cell labels (length M) and the tolerance used to assign them."""
-
-    labels: np.ndarray
-    eps: float
-
-    def measure(self, label: CellLabel, dt: float) -> float:
-        return float(np.count_nonzero(self.labels == label) * dt)
-
-    @property
-    def has_crossing(self) -> bool:
-        return bool(np.any(self.labels == CellLabel.CROSSING))
 
 
 def default_coincidence_eps(dt: float, gamma: float) -> float:
@@ -178,14 +163,15 @@ def classify(
     upper: SamplePath | None,
     lower: SamplePath | None,
     eps: float,
-) -> CoincidenceClassification:
-    """Label every grid cell by its position relative to the barriers.
+) -> np.ndarray:
+    """CellLabel of every grid cell (int64, length M) by its position
+    relative to the barriers.
 
     Comparison happens at cell midpoints.  A missing barrier never produces
     coincidence or crossing on its side.
     """
     labels = _cell_labels(*_with_barriers(phi, upper, lower), eps)[0]
-    return CoincidenceClassification(labels=labels.astype(np.int64), eps=eps)
+    return labels.astype(np.int64)
 
 
 @dataclass(frozen=True)

@@ -33,7 +33,6 @@ from .model import (
     Topology,
     tri_size,
 )
-from .noise import NoiseBundle
 
 __all__ = [
     "TruncationLevels",
@@ -42,7 +41,6 @@ __all__ = [
     "DomainError",
     "simulate",
     "ensemble_scan",
-    "simulate_truncated",
     "solve_edge_exact",
     "simulate_lower_barrier_euler",
     "simulate_two_barrier",
@@ -71,14 +69,14 @@ class DomainError(ValueError):
     """Inputs outside the domain where a formula is meaningful."""
 
 
-def default_drift_cap(gamma: float, g_cap: float = 0.25) -> float:
-    """Taming cap D = exp(g_cap * gamma).
+def default_drift_cap(gamma: float) -> float:
+    """Taming cap D = exp(0.25 * gamma).
 
     Under the almost-interlaced events the drift exponents stay of order
     sqrt(gamma), so the cap only activates on excursions that are already
     super-exponentially rare; clamp counts make any contamination visible.
     """
-    return float(np.exp(min(gamma * g_cap, _EXP_MAX)))
+    return float(np.exp(min(gamma * 0.25, _EXP_MAX)))
 
 
 @dataclass(frozen=True)
@@ -230,14 +228,27 @@ def ensemble_scan(
     return clamps.reshape(gam.shape + (R,))
 
 
-def _run_single(config, grid, noise, truncation):
+def simulate(
+    config: ModelConfig,
+    grid: TimeGrid,
+    noise: np.ndarray,
+    truncation: TruncationLevels | None = None,
+) -> SimulationResult:
+    """Tamed Euler run of the full triangle from config.initial, with the
+    taming cap config.drift_cap (default exp(0.25 * gamma)).
+
+    noise holds the raw Normal(0, dt) increments, shape (P, M) for the P
+    particles in level-major order.  With truncation, every T inside a drift
+    exponent is replaced by its level cutoff clip(T, -L_n, L_n); with
+    inactive cutoffs the output is bit-identical to a run without.
+    """
     N = config.N
     rows_per_level = np.arange(1, N + 1)
     if truncation is not None:
         if truncation.levels.shape != (N,):
             raise ValueError("truncation levels must have one entry per level")
         truncation = np.repeat(truncation.levels, rows_per_level)
-    inc = noise.increments[None, :, :]
+    inc = np.asarray(noise, dtype=float)[None]
     if inc.shape[1:] != (tri_size(N), grid.steps):
         raise ValueError("noise shape does not match config/grid")
     out = np.empty((tri_size(N), grid.npoints))
@@ -252,26 +263,6 @@ def _run_single(config, grid, noise, truncation):
         truncation=truncation, observe=keep,
     )
     return SimulationResult(PathBundle(N, grid, out), int(clamps[0]))
-
-
-def simulate(
-    config: ModelConfig, grid: TimeGrid, noise: NoiseBundle
-) -> SimulationResult:
-    """Tamed Euler run of the full triangle from config.initial, with the
-    taming cap config.drift_cap (default exp(0.25 * gamma))."""
-    return _run_single(config, grid, noise, None)
-
-
-def simulate_truncated(
-    config: ModelConfig,
-    grid: TimeGrid,
-    noise: NoiseBundle,
-    truncation: TruncationLevels,
-) -> SimulationResult:
-    """Same stepper, but every T inside a drift exponent is replaced by its
-    level cutoff clip(T, -L_n, L_n).  With inactive cutoffs the output is
-    bit-identical to simulate under the same noise."""
-    return _run_single(config, grid, noise, truncation)
 
 
 # ---------------------------------------------------------------------------
@@ -377,6 +368,12 @@ class GapReport:
     within_budget: bool
 
 
+def _gap_budget(gamma: float, eta: float, grid: TimeGrid) -> float:
+    """The pathwise budget exp(-gamma * eta / 2) * (b - a) on the coupling
+    gap of a particle that keeps clearance eta below its upper barrier."""
+    return float(np.exp(-gamma * eta / 2.0) * (grid.b - grid.a))
+
+
 def equivalence_gap(
     path_a: SamplePath, path_b: SamplePath, gamma: float, eta: float
 ) -> GapReport:
@@ -386,9 +383,7 @@ def equivalence_gap(
     if path_a.grid != path_b.grid:
         raise ValueError("paths must share a grid")
     gap = float(np.max(np.abs(path_a.values - path_b.values)))
-    budget = float(
-        np.exp(-gamma * eta / 2.0) * (path_a.grid.b - path_a.grid.a)
-    )
+    budget = _gap_budget(gamma, eta, path_a.grid)
     return GapReport(gap=gap, budget=budget, within_budget=gap <= budget)
 
 

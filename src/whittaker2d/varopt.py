@@ -28,6 +28,8 @@ from .rate import LEMMA, _penalized_slopes
 
 __all__ = ["VariationalProblem", "MinimizeResult", "minimize_rate"]
 
+_TOL = 1e-12  # stop once a step would move the interior by less
+
 
 @dataclass(frozen=True)
 class VariationalProblem:
@@ -37,8 +39,6 @@ class VariationalProblem:
     terminal: TriangularConfiguration
     eps: float = 1e-6
     max_iters: int = 20000
-    step_size: float | None = None  # None -> dt / 2
-    tol: float = 1e-12
 
     def __post_init__(self):
         for name, cfg in (("initial", self.initial), ("terminal", self.terminal)):
@@ -47,8 +47,6 @@ class VariationalProblem:
             report = validate_initial_entries(self.N, cfg.entries)
             if report:
                 raise ValueError(f"{name} configuration not interlaced: {report}")
-        if self.step_size is None:
-            object.__setattr__(self, "step_size", self.grid.dt / 2.0)
 
 
 @dataclass(frozen=True)
@@ -126,12 +124,12 @@ def minimize_rate(
 
     f, grad = _objective_and_grad(vals, N, grid, problem.eps, convention)
     baseline_rate = f
-    step = problem.step_size
+    step = grid.dt / 2.0
     it = 0
     for it in range(1, problem.max_iters + 1):
         # checked before the line search, so that a stationary baseline
         # costs no step halvings
-        if np.linalg.norm(grad[:, 1:-1]) * step < problem.tol:
+        if np.linalg.norm(grad[:, 1:-1]) * step < _TOL:
             converged = True
             break
         trial = None
@@ -154,7 +152,7 @@ def minimize_rate(
         step *= 1.3
     else:
         # the last allowed step may itself have met the tolerance
-        converged = bool(np.linalg.norm(grad[:, 1:-1]) * step < problem.tol)
+        converged = bool(np.linalg.norm(grad[:, 1:-1]) * step < _TOL)
 
     bundle = PathBundle(N, grid, vals)
     return MinimizeResult(

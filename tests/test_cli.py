@@ -207,3 +207,23 @@ def test_every_flag_is_read_by_its_handler():
             if action.dest in {"help", "func", "config", "command"}:
                 continue
             assert f"args.{action.dest}" in source, (name, action.dest)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--n", "0", "--dt", "0.1"],
+        ["simulate", "--dt", "0"],
+        ["slope", "--dt", "0", "--samples", "10"],
+        ["equivalence", "--dt", "0", "--samples", "10"],
+        ["interlace", "--dt", "0", "--samples", "10"],
+        # 1/0.3 steps would silently run at dt = 1/3
+        ["interlace", "--dt", "0.3", "--samples", "10"],
+    ],
+    ids=["simulate-n0", "simulate-dt0", "slope-dt0", "equivalence-dt0",
+         "interlace-dt0", "interlace-dt0.3"],
+)
+def test_bad_size_or_step_exits_one(argv, capsys):
+    code, out, err = run(argv, capsys)
+    assert code == 1
+    assert out == "" and err.startswith("error:")

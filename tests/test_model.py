@@ -19,10 +19,9 @@ from whittaker2d import (
     tri_indices,
     tri_offset,
     tri_size,
-    validate_initial,
 )
 from whittaker2d.model import (
-    bundle_to_csv_string,
+    bundle_to_csv,
     configuration_from_csv,
     configuration_to_csv,
     validate_initial_entries,
@@ -30,15 +29,11 @@ from whittaker2d.model import (
 
 
 def test_tri_index_barriers():
-    assert TriIndex(1, 1).upper_barrier is None
-    assert TriIndex(1, 1).lower_barrier is None
-    assert TriIndex(3, 2).upper_barrier == TriIndex(2, 1)
-    assert TriIndex(3, 2).lower_barrier == TriIndex(2, 2)
-    # edges lose one barrier each
-    assert TriIndex(3, 1).upper_barrier is None
-    assert TriIndex(3, 1).lower_barrier == TriIndex(2, 1)
-    assert TriIndex(3, 3).upper_barrier == TriIndex(2, 2)
-    assert TriIndex(3, 3).lower_barrier is None
+    # rows (1,1), (2,1), (2,2), (3,1), (3,2), (3,3): (n, k) is bounded
+    # above by (n-1, k-1) and below by (n-1, k); edges lose one barrier each
+    tri = Topology.triangle(3)
+    np.testing.assert_array_equal(tri.upper, [-1, -1, 0, -1, 1, 2])
+    np.testing.assert_array_equal(tri.lower, [-1, 0, -1, 1, 2, -1])
 
 
 def test_tri_layout_level_major():
@@ -99,6 +94,15 @@ def test_time_grid():
         TimeGrid(0.0, 1.0, 0)
 
 
+def test_time_grid_from_dt():
+    assert TimeGrid.from_dt(0.0, 1.0, 1e-4) == TimeGrid(0.0, 1.0, 10000)
+    assert TimeGrid.from_dt(0.25, 0.75, 0.125) == TimeGrid(0.25, 0.75, 4)
+    # dt must be positive, finite, and divide the interval
+    for dt in [0.0, -0.1, np.nan, np.inf, 5e-324, 0.3, 2.0]:
+        with pytest.raises(ValueError, match="dt"):
+            TimeGrid.from_dt(0.0, 1.0, dt)
+
+
 def test_sample_path_length_check():
     g = TimeGrid(0.0, 1.0, 4)
     with pytest.raises(ValueError):
@@ -137,7 +141,18 @@ def test_model_config_rejects_bad_initial():
     with pytest.raises(ValueError):
         ModelConfig(N=1, gamma=0.0, initial=TriangularConfiguration.zeros(1))
     ok = ModelConfig(N=2, gamma=8.0, initial=TriangularConfiguration.zeros(2))
-    assert validate_initial(ok) == []
+    assert validate_initial_entries(ok.N, ok.initial.entries) == []
+
+
+def test_levels_below_one_rejected():
+    grid = TimeGrid(0.0, 1.0, 4)
+    with pytest.raises(ValueError, match="level"):
+        TriangularConfiguration.zeros(0)
+    with pytest.raises(ValueError, match="level"):
+        PathBundle(0, grid, np.zeros((0, 5)))
+    # a CSV with only a t column holds no particle
+    with pytest.raises(ValueError, match="level"):
+        bundle_from_csv(io.StringIO("t\n0.0\n0.5\n1.0\n"))
 
 
 def test_interlace_bounds():
@@ -147,8 +162,9 @@ def test_interlace_bounds():
     assert b.g_level(1) == 1.0
     assert b.g_level(3) == 16.0  # 4^(n-1) growth
     assert b.f_level(2) == 2.0
+    assert InterlaceBounds(f=0.3).g == 0.6  # g = 2 f by construction
     with pytest.raises(ValueError):
-        InterlaceBounds(f=0.5, g=0.7)
+        InterlaceBounds(f=0.0)
 
 
 def test_interlacing_defect_constant_bundle():
@@ -219,7 +235,9 @@ def test_bundle_csv_round_trip():
     rng = np.random.default_rng(6)
     grid = TimeGrid(0.25, 0.75, 8)
     bundle = PathBundle(2, grid, rng.normal(size=(3, 9)))
-    text = bundle_to_csv_string(bundle, comments=["seed=1 replicate=0"])
+    buf = io.StringIO()
+    bundle_to_csv(buf, bundle, comments=["seed=1 replicate=0"])
+    text = buf.getvalue()
     assert text.splitlines()[1] == "t,T_1_1,T_2_1,T_2_2"
     back = bundle_from_csv(io.StringIO(text))
     assert back.N == 2

@@ -3,34 +3,34 @@ import pytest
 from numpy.random import Generator, Philox
 
 from whittaker2d import (
-    NoiseBundle,
-    Seed,
+    ModelConfig,
     TimeGrid,
+    TriangularConfiguration,
     ensemble_increments,
-    sample_noise,
+    simulate,
 )
 from whittaker2d.noise import sample_increments
 
 
 def test_determinism():
     grid = TimeGrid(0.0, 1.0, 100)
-    a = sample_noise(Seed(12345, 7), grid, 3)
-    b = sample_noise(Seed(12345, 7), grid, 3)
-    np.testing.assert_array_equal(a.increments, b.increments)
+    a = sample_increments(12345, 7, grid, 3)
+    b = sample_increments(12345, 7, grid, 3)
+    np.testing.assert_array_equal(a, b)
 
 
 def test_replicates_differ():
     grid = TimeGrid(0.0, 1.0, 100)
-    a = sample_noise(Seed(1, 0), grid, 2)
-    b = sample_noise(Seed(1, 1), grid, 2)
-    assert not np.array_equal(a.increments, b.increments)
+    a = sample_increments(1, 0, grid, 2)
+    b = sample_increments(1, 1, grid, 2)
+    assert not np.array_equal(a, b)
 
 
 def test_seeds_differ():
     grid = TimeGrid(0.0, 1.0, 100)
-    a = sample_noise(Seed(1), grid, 2)
-    b = sample_noise(Seed(2), grid, 2)
-    assert not np.array_equal(a.increments, b.increments)
+    a = sample_increments(1, 0, grid, 2)
+    b = sample_increments(2, 0, grid, 2)
+    assert not np.array_equal(a, b)
 
 
 def test_key_words_outside_64_bits_rejected():
@@ -119,30 +119,11 @@ def test_cross_replicate_independence():
     assert abs(corr) < 4.0 / np.sqrt(grid.steps)
 
 
-def test_cumulative_starts_at_zero():
-    grid = TimeGrid(0.0, 1.0, 10)
-    noise = sample_noise(Seed(5), grid, 2)
-    w = noise.cumulative()
-    assert w.shape == (3, 11)
-    np.testing.assert_array_equal(w[:, 0], 0.0)
-    np.testing.assert_allclose(w[:, -1], noise.increments.sum(axis=1))
-    np.testing.assert_allclose(noise.path(1), w[1])
-
-
-def test_zero_bundle():
-    grid = TimeGrid(0.0, 1.0, 4)
-    z = NoiseBundle.zero(grid, 3)
-    assert z.n_streams == 3
-    np.testing.assert_array_equal(z.cumulative(), 0.0)
-
-
 def test_shape_validation():
+    # simulate takes one row of grid.steps increments per particle
     grid = TimeGrid(0.0, 1.0, 4)
-    with pytest.raises(ValueError):
-        NoiseBundle(grid, np.zeros((2, 5)))
-
-
-def test_with_replicate():
-    s = Seed(10)
-    assert s.replicate == 0
-    assert s.with_replicate(3) == Seed(10, 3)
+    config = ModelConfig(N=2, gamma=8.0,
+                         initial=TriangularConfiguration.zeros(2))
+    for shape in [(3, 5), (2, 4), (1, 3, 4)]:
+        with pytest.raises(ValueError):
+            simulate(config, grid, np.zeros(shape))

@@ -6,10 +6,8 @@ import pytest
 from whittaker2d import (
     DomainError,
     ModelConfig,
-    NoiseBundle,
     NonFiniteError,
     SamplePath,
-    Seed,
     TimeGrid,
     Topology,
     TriangularConfiguration,
@@ -18,10 +16,9 @@ from whittaker2d import (
     ensemble_scan,
     equivalence_gap,
     escape_probability_bound,
-    sample_noise,
+    sample_increments,
     simulate,
     simulate_lower_barrier_euler,
-    simulate_truncated,
     simulate_two_barrier,
     solve_edge_exact,
     tri_offset,
@@ -42,10 +39,10 @@ def test_n1_is_exact_random_walk():
     # a single particle has no neighbors: the step is pure noise
     grid = TimeGrid(0.0, 1.0, 500)
     gamma = 8.0
-    noise = sample_noise(Seed(1), grid, 1)
+    noise = sample_increments(1, 0, grid, 1)
     res = simulate(_config(1, gamma), grid, noise)
     expect = np.concatenate(
-        ([0.0], np.cumsum(noise.increments[0] / np.sqrt(gamma)))
+        ([0.0], np.cumsum(noise[0] / np.sqrt(gamma)))
     )
     np.testing.assert_allclose(res.bundle.values[0], expect, atol=1e-14)
     assert res.clamp_events == 0
@@ -54,7 +51,7 @@ def test_n1_is_exact_random_walk():
 def test_level_drift_shifts_n1():
     grid = TimeGrid(0.0, 1.0, 100)
     gamma = 4.0
-    noise = sample_noise(Seed(2), grid, 1)
+    noise = sample_increments(2, 0, grid, 1)
     cfg = _config(1, gamma, drifts=np.array([0.7]))
     res = simulate(cfg, grid, noise)
     free = simulate(_config(1, gamma), grid, noise)
@@ -70,7 +67,7 @@ def test_edge_ode_oracle_log1p():
     # y' = exp(gamma(0 - y)), y(0)=0, i.e. y = log(1 + gamma t)/gamma
     gamma = 4.0
     grid = TimeGrid(0.0, 1.0, 20000)
-    noise = NoiseBundle.zero(grid, 3)
+    noise = np.zeros((3, grid.steps))
     res = simulate(_config(2, gamma), grid, noise)
     t = grid.times
     expect = np.log1p(gamma * t) / gamma
@@ -82,11 +79,11 @@ def test_mirror_symmetry():
     # negating noise and reversing each level maps the system onto itself
     grid = TimeGrid(0.0, 1.0, 400)
     gamma = 8.0
-    noise = sample_noise(Seed(3), grid, 2)
+    noise = sample_increments(3, 0, grid, 3)
     res = simulate(_config(2, gamma), grid, noise)
     # mirrored stream order: (1,1)->(1,1), (2,1)<->(2,2)
     perm = [0, 2, 1]
-    mirrored = NoiseBundle(grid, -noise.increments[perm])
+    mirrored = -noise[perm]
     res_m = simulate(_config(2, gamma), grid, mirrored)
     np.testing.assert_allclose(
         res_m.bundle.values[perm], -res.bundle.values, atol=1e-12
@@ -95,10 +92,10 @@ def test_mirror_symmetry():
 
 def test_truncation_inactive_is_bitwise_identical():
     grid = TimeGrid(0.0, 1.0, 200)
-    noise = sample_noise(Seed(4), grid, 2)
+    noise = sample_increments(4, 0, grid, 3)
     cfg = _config(2, 8.0)
     plain = simulate(cfg, grid, noise)
-    trunc = simulate_truncated(cfg, grid, noise, TruncationLevels.uniform(2, 1e6))
+    trunc = simulate(cfg, grid, noise, TruncationLevels.uniform(2, 1e6))
     np.testing.assert_array_equal(
         plain.bundle.values, trunc.bundle.values
     )
@@ -109,8 +106,8 @@ def test_truncation_saturated_freezes_drift():
     # L_k = 0 clips every drift exponent to 0: interior drift 0, edge drift 1
     gamma = 2.0
     grid = TimeGrid(0.0, 1.0, 100)
-    noise = NoiseBundle.zero(grid, 3)
-    res = simulate_truncated(
+    noise = np.zeros((3, grid.steps))
+    res = simulate(
         _config(2, gamma), grid, noise, TruncationLevels.uniform(2, 0.0)
     )
     t = grid.times
@@ -140,7 +137,7 @@ def test_clamp_events_counted():
     # at a fully glued start the edge pushes are exactly 1, above a 0.5 cap
     grid = TimeGrid(0.0, 0.01, 10)
     cfg = _config(2, 8.0, drift_cap=0.5)
-    noise = NoiseBundle.zero(grid, 3)
+    noise = np.zeros((3, grid.steps))
     res = simulate(cfg, grid, noise)
     assert res.clamp_events > 0
 
@@ -148,8 +145,8 @@ def test_clamp_events_counted():
 def test_tilde0_far_barrier_is_nearly_free():
     gamma = 4.0
     grid = TimeGrid(0.0, 1.0, 1000)
-    noise = sample_noise(Seed(6), grid, 1)
-    x = np.concatenate(([0.0], np.cumsum(noise.increments[0]))) / np.sqrt(gamma)
+    noise = sample_increments(6, 0, grid, 1)
+    x = np.concatenate(([0.0], np.cumsum(noise[0]))) / np.sqrt(gamma)
     barrier = SamplePath.constant(grid, -10.0)
     out = solve_edge_exact(barrier, x, 0.0, gamma)
     # drift bounded by exp(-gamma * clearance) whenever the path stays above
@@ -180,8 +177,8 @@ def test_edge_exact_dominates_free_path():
     # the barrier only ever pushes up
     gamma = 8.0
     grid = TimeGrid(0.0, 1.0, 500)
-    noise = sample_noise(Seed(8), grid, 1)
-    x = np.concatenate(([0.0], np.cumsum(noise.increments[0]))) / np.sqrt(gamma)
+    noise = sample_increments(8, 0, grid, 1)
+    x = np.concatenate(([0.0], np.cumsum(noise[0]))) / np.sqrt(gamma)
     barrier = SamplePath.constant(grid, 0.0)
     out = solve_edge_exact(barrier, x, 0.0, gamma)
     assert np.all(out.values >= x - 1e-12)
@@ -349,7 +346,7 @@ def test_scan_rejects_mismatched_shapes():
             barriers=np.zeros((1, 10)),
         )
     with pytest.raises(ValueError):
-        simulate(_config(2, 8.0), grid, NoiseBundle.zero(TimeGrid(0, 1, 9), 3))
+        simulate(_config(2, 8.0), grid, np.zeros((3, 9)))
 
 
 def _scan_blocks(topology, inc, gamma, cap, **kw):
