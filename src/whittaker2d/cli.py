@@ -53,8 +53,11 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _positive_gammas(values) -> list[float]:
-    """values as floats, once every one is positive and finite."""
+    """values as floats, once there is at least one and every one is
+    positive and finite."""
     gammas = [float(g) for g in values]
+    if not gammas:
+        raise ValueError("need at least one gamma")
     if not all(0.0 < g < np.inf for g in gammas):
         raise ValueError(f"gammas must be positive and finite, got {gammas}")
     return gammas

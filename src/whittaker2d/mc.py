@@ -25,7 +25,7 @@ from .model import (
     tri_offset,
     tri_size,
 )
-from .noise import ensemble_increments
+from .noise import IncrementStream, ensemble_increments
 from .rate import default_coincidence_eps, total_rate
 from .sde import (
     _gap_budget,
@@ -122,17 +122,19 @@ def _maxdev(
     gammas: np.ndarray,
     grid: TimeGrid,
     phi_vals: np.ndarray,
-    inc: np.ndarray,
+    seed: int,
+    reps: range,
 ):
     """Per-replicate sup deviation from the target bundle at each gamma,
-    plus clamp counts, both of shape (G, R), for the raw increments inc of
-    shape (R, P, M)."""
+    plus clamp counts, both of shape (G, R), for the replicates reps of
+    seed."""
     if config.N == 1 and float(config.drifts[0]) == 0.0:
+        inc = ensemble_increments(seed, reps, grid, 1)
         maxdev = np.stack([
             _free_maxdev(config, gamma, grid, phi_vals, inc) for gamma in gammas
         ])
         return maxdev, np.zeros(maxdev.shape, dtype=int)
-    maxdev = np.zeros(gammas.size * inc.shape[0])
+    maxdev = np.zeros(gammas.size * len(reps))
 
     def observe(i0, block):
         dev = block - phi_vals[:, i0 : i0 + len(block)].T[:, :, None]
@@ -140,7 +142,8 @@ def _maxdev(
         np.maximum(maxdev, np.max(dev, axis=(0, 1)), out=maxdev)
 
     clamps = ensemble_scan(
-        Topology.triangle(config.N), config.initial.entries, inc,
+        Topology.triangle(config.N), config.initial.entries,
+        IncrementStream(seed, reps, grid, tri_size(config.N)),
         gammas, grid.dt, config.drift_cap,
         drifts=np.repeat(config.drifts, np.arange(1, config.N + 1)),
         observe=observe,
@@ -160,11 +163,9 @@ def _smallball(config, gammas, phi, delta, n_samples, seed, batch_size,
     if phi.N != config.N:
         raise ValueError("target bundle N does not match config")
     grid = phi.grid
-    P = tri_size(phi.N)
 
     def work(reps):
-        inc = ensemble_increments(seed, reps, grid, P)
-        maxdev, clamps = _maxdev(config, stacked, grid, phi.values, inc)
+        maxdev, clamps = _maxdev(config, stacked, grid, phi.values, seed, reps)
         return np.stack([np.count_nonzero(maxdev <= delta, axis=1),
                          np.count_nonzero(clamps > 0, axis=1)], axis=1)
 
@@ -341,7 +342,6 @@ def interlace_event_frequency(
     # per gamma: a, b, c violations and clamped replicates
     bad = np.zeros((4, gammas.size), dtype=int)
     for reps in _batches(n_samples, batch_size):
-        inc = ensemble_increments(seed, reps, grid, 4)
         mins = np.full((len(_GAP_HI), gammas.size * len(reps)), np.inf)
 
         def observe(i0, block):
@@ -349,7 +349,8 @@ def interlace_event_frequency(
             np.minimum(mins, np.min(gaps, axis=0), out=mins)
 
         clamps = ensemble_scan(
-            _FOUR_PARTICLE, np.zeros(4), inc, gammas, grid.dt, cap,
+            _FOUR_PARTICLE, np.zeros(4), IncrementStream(seed, reps, grid, 4),
+            gammas, grid.dt, cap,
             observe=observe,
         )
         m = mins.reshape(-1, *clamps.shape)  # (gap, gamma, replicate)

@@ -27,7 +27,6 @@ import enum
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .model import (
     ModelConfig,
@@ -369,6 +368,10 @@ def brute_force_local_rate(
     if n_push == 0:
         push = np.zeros(0)
     else:
+        # scipy is imported here, by the one function that needs it, so
+        # that importing the package loads numpy alone
+        from scipy.optimize import minimize
+
         target = dphi[support]
 
         def objective(x):

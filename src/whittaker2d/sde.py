@@ -33,6 +33,7 @@ from .model import (
     Topology,
     tri_size,
 )
+from .noise import IncrementStream
 
 __all__ = [
     "TruncationLevels",
@@ -52,6 +53,12 @@ __all__ = [
 
 _EXP_MAX = 700.0  # exp argument ceiling, just under float64 overflow
 _CHUNK_BYTES = 1 << 19  # size of each per-chunk buffer of ensemble_scan
+# ensemble_scan draws an IncrementStream in windows of _WINDOW steps, fewer
+# if that would take more than _WINDOW_BYTES, but never fewer than
+# _MIN_WINDOW: every window costs each stream one more draw call, and a
+# stream split at all opens a generator of its own, which a path of a few
+# hundred steps would not repay however wide its batch
+_WINDOW, _MIN_WINDOW, _WINDOW_BYTES = 2048, 1024, 1 << 26
 
 
 class NonFiniteError(RuntimeError):
@@ -114,7 +121,7 @@ class SimulationResult:
 def ensemble_scan(
     topology: Topology,
     start,
-    increments: np.ndarray,
+    noise,
     gamma,
     dt: float,
     cap,
@@ -126,16 +133,20 @@ def ensemble_scan(
     """Step an ensemble of replicates of the system wired by topology at
     one gamma or at several.
 
-    increments has shape (R, P, M) of raw Normal(0, dt) draws for the P
-    moving rows; start holds their P start values.  barriers, shape
-    (F, M+1), are the paths of the topology's last F rows, which are fixed:
-    they are written into the state at every grid index instead of being
-    stepped.  drifts (the constant a of each moving row) and truncation
-    (each moving row's cutoff L: T inside a drift exponent is replaced by
-    clip(T, -L, L)) have length P.  gamma is a scalar or a 1-d array of G
-    values, cap a scalar or one value per gamma (None: default_drift_cap).
-    Every gamma steps the same increments: the state has G*R columns,
-    gamma-major, each bit-identical to a call at its gamma alone.
+    noise holds the raw Normal(0, dt) draws for the P moving rows, shape
+    (R, P, M): an array, or an IncrementStream, which is drawn in windows
+    of 2048 steps, or as few as 1024 to keep a window under 64 MB, so
+    that a longer path's whole array is never held; both step the same
+    values.  start holds the P start values.  barriers,
+    shape (F, M+1), are the paths of the topology's last F rows, which are
+    fixed: they are written into the state at every grid index instead of
+    being stepped.  drifts (the constant a of each moving row) and
+    truncation (each moving row's cutoff L: T inside a drift exponent is
+    replaced by clip(T, -L, L)) have length P.  gamma is a scalar or a 1-d
+    array of G values, cap a scalar or one value per gamma (None:
+    default_drift_cap).  Every gamma steps the same noise: the state has
+    G*R columns, gamma-major, each bit-identical to a call at its gamma
+    alone.
 
     The step is T <- T + dW / sqrt(gamma) + clamp(drift, +-cap) * dt with
     the whole state read at the start of the step.  Steps run in chunks of
@@ -147,10 +158,10 @@ def ensemble_scan(
     is observed.  Returns the per-replicate clamp-event counts, shape
     np.shape(gamma) + (R,).
     """
-    R, P, M = increments.shape
+    R, P, M = noise.shape
     F = 0 if barriers is None else barriers.shape[0]
     if topology.size != P + F:
-        raise ValueError("increments and barriers do not match the topology")
+        raise ValueError("noise and barriers do not match the topology")
     if F and barriers.shape != (F, M + 1):
         raise ValueError("barriers must have one value per grid point")
     if np.shape(start) != (P,):
@@ -179,7 +190,16 @@ def ensemble_scan(
     if truncation is not None:
         lim = np.concatenate([truncation, np.full(F, np.inf)])[:, None]
     K = max(1, min(M, _CHUNK_BYTES // (8 * (P + F) * max(GR, 1))))
-    block, noise = np.empty((K + 1, P + F, GR)), np.empty((K, P, GR))
+    streamed = isinstance(noise, IncrementStream)
+    if streamed:
+        # drawn in windows of whole chunks, so that no chunk straddles two
+        steps = _WINDOW_BYTES // (8 * max(R * P, 1))
+        steps = min(_WINDOW, max(_MIN_WINDOW, steps))
+        W = min(M, -(-steps // K) * K)
+        window = np.empty((R, P, W))
+    else:
+        W, window = M, noise
+    block, dW = np.empty((K + 1, P + F, GR)), np.empty((K, P, GR))
     clamped = np.empty((K, P, GR), dtype=bool)
     gap, far, push = np.empty((E, GR)), np.empty((E, GR)), np.zeros((E + 1, GR))
     drift, down, tamed = (np.empty((P, GR)) for _ in range(3))
@@ -189,8 +209,11 @@ def ensemble_scan(
         observe(0, block[:1, :P])
     for s in range(0, M, K):
         k = min(K, M - s)
-        np.divide(increments[:, :, s : s + k].T[:, :, None], sqg,
-                  out=noise[:k].reshape(k, P, G, R))
+        at = s % W  # the chunk's first step within its window
+        if streamed and at == 0:
+            noise.fill(window[:, :, : min(W, M - s)])
+        np.divide(window[:, :, at : at + k].T[:, :, None], sqg,
+                  out=dW[:k].reshape(k, P, G, R))
         if F:
             block[: k + 1, P:] = barriers[:, s : s + k + 1].T[:, :, None]
         # a state gone non-finite stays so and raises after the chunk, so
@@ -215,7 +238,7 @@ def ensemble_scan(
                 np.minimum(tamed, hi_cap, out=tamed)
                 np.not_equal(tamed, drift, out=clamped[j])
                 np.multiply(tamed, dt, out=tamed)
-                np.add(block[j, :P], noise[j], out=block[j + 1, :P])
+                np.add(block[j, :P], dW[j], out=block[j + 1, :P])
                 block[j + 1, :P] += tamed
         states = block[1 : k + 1, :P]
         if not np.isfinite(states[-1]).all():

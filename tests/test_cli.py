@@ -183,16 +183,19 @@ def test_interlace_and_equivalence_run(capsys):
     assert "violation_fraction" in out.splitlines()[1]
 
 
-@pytest.mark.parametrize("command", ["interlace", "equivalence"])
-@pytest.mark.parametrize("gammas", ["0", "16,-1", "nan", "inf"])
+@pytest.mark.parametrize("command", ["interlace", "equivalence", "slope"])
+@pytest.mark.parametrize("gammas", ["0", "16,-1", "nan", "inf", ","])
 def test_bad_gamma_exits_one(command, gammas, capsys, tmp_path):
     argv = [command, "--samples", "10", "--dt", "0.1"]
     code, out, err = run(argv + ["--gammas", gammas], capsys)
     assert code == 1
     assert out == "" and "gamma" in err
-    # gammas from a config file are checked before any output too
+    # gammas from a config file are checked before any output too; an empty
+    # list stays empty
+    values = [float(g) for g in gammas.split(",") if g]
+    file_gammas = [16.0, *values[-1:]] if values else []
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"gammas": [16.0, float(gammas.split(",")[-1])]}))
+    cfg.write_text(json.dumps({"gammas": file_gammas}))
     code, out, err = run(argv + ["--config", str(cfg)], capsys)
     assert code == 1
     assert out == "" and "gamma" in err

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -277,6 +278,18 @@ def test_interlace_frequencies_match_stored_paths():
         assert min(counts[:3]) > 0
         assert [freq.a_violation, freq.b_violation, freq.c_violation,
                 freq.clamp_contamination] == [k / n for k in counts]
+
+
+def test_interlace_batch_holds_a_window_of_noise():
+    # one batch of 50 replicates at dt=1e-4 has (50, 4, 10^4) increments,
+    # 16 MB; streamed through the scan, the call holds under half of that
+    tracemalloc.start()
+    try:
+        interlace_event_frequency([16.0], 50, seed=3, dt=1e-4, batch_size=50)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 50 * 4 * 10_000 * 8 / 2
 
 
 _FLAT1 = _flat_target(1, TimeGrid(0.0, 1.0, 10))

@@ -9,7 +9,7 @@ from whittaker2d import (
     ensemble_increments,
     simulate,
 )
-from whittaker2d.noise import sample_increments
+from whittaker2d.noise import IncrementStream, sample_increments
 
 
 def test_determinism():
@@ -89,6 +89,21 @@ def test_stream_layout_pinned():
     assert block[2, 1, 3] == -0.4811932550391372
     top = ensemble_increments(2**64 - 1, range(2**64 - 1, 2**64), grid, 1)
     assert top[0, 0, 1] == 0.9403915178539011
+
+
+@pytest.mark.parametrize("seed, rep", [(5, 0), (2**64 - 1, 2**64 - 3)])
+def test_stream_windows_concatenate_to_one_draw(seed, rep):
+    # uneven windows, each stream carried across three window ends, give
+    # one draw's values byte for byte; nothing is left to draw after them
+    grid = TimeGrid(0.0, 1.0, 1000)
+    reps = range(rep, rep + 3)
+    stream = IncrementStream(seed, reps, grid, 2)
+    assert stream.shape == (3, 2, 1000)
+    parts = [stream.fill(np.empty((3, 2, k))) for k in (1, 299, 600, 100)]
+    whole = ensemble_increments(seed, reps, grid, 2)
+    assert np.concatenate(parts, axis=2).tobytes() == whole.tobytes()
+    with pytest.raises(ValueError):
+        stream.fill(np.empty((3, 2, 1)))
 
 
 def test_ensemble_matches_per_replicate():

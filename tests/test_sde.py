@@ -23,7 +23,8 @@ from whittaker2d import (
     solve_edge_exact,
     tri_offset,
 )
-from whittaker2d.noise import ensemble_increments
+from whittaker2d import sde
+from whittaker2d.noise import IncrementStream, ensemble_increments
 
 
 def _config(N, gamma, entries=None, **kw):
@@ -363,6 +364,39 @@ def _scan_blocks(topology, inc, gamma, cap, **kw):
         observe=observe, **kw,
     )
     return np.concatenate(blocks), clamps, starts
+
+
+@pytest.mark.parametrize("gammas", [[2.0], [2.0, 64.0]], ids=["G1", "G2"])
+@pytest.mark.parametrize(
+    "steps, room, windows",
+    [(500, None, [500]), (2048, None, [2048]), (5000, None, [2048, 2048, 904]),
+     (1000, 100, [1000]), (2500, 100, [1024, 1024, 452])],
+    ids=["short", "one-window", "ragged", "wide-short", "wide-ragged"],
+)
+def test_streamed_scan_matches_materialized(
+    monkeypatch, gammas, steps, room, windows
+):
+    # 64 four-particle replicates step in chunks of 256 (G=1) or 128 (G=2)
+    # steps and draw windows of 2048 steps, so 5000 steps are a multiple of
+    # neither; the cap of 0.5 clamps.  A byte bound with room for only 100
+    # steps of this batch stands for a wide batch: a path of 1000 steps is
+    # still drawn whole, and a longer one in windows of 1024 steps
+    R, grid = 64, TimeGrid(0.0, 1.0, steps)
+    if room is not None:
+        monkeypatch.setattr(sde, "_WINDOW_BYTES", 8 * R * 4 * room)
+    stream = IncrementStream(30, range(R), grid, 4)
+    drawn, fill = [], stream.fill
+    stream.fill = lambda out: drawn.append(out.shape[2]) or fill(out)
+    got, got_clamps, starts = _scan_blocks(FOUR_PARTICLE, stream, gammas, 0.5)
+    inc = ensemble_increments(30, range(R), grid, 4)
+    expect, clamps, expect_starts = _scan_blocks(
+        FOUR_PARTICLE, inc, gammas, 0.5
+    )
+    assert drawn == windows
+    assert starts == expect_starts
+    assert got.tobytes() == expect.tobytes()
+    assert got_clamps.tobytes() == clamps.tobytes()
+    assert clamps.sum() > 0
 
 
 _T = np.linspace(0.0, 2.0, 401)
