@@ -55,9 +55,9 @@ _EXP_MAX = 700.0  # exp argument ceiling, just under float64 overflow
 _CHUNK_BYTES = 1 << 19  # size of each per-chunk buffer of ensemble_scan
 # ensemble_scan draws an IncrementStream in windows of _WINDOW steps, fewer
 # if that would take more than _WINDOW_BYTES, but never fewer than
-# _MIN_WINDOW: every window costs each stream one more draw call, and a
-# stream split at all opens a generator of its own, which a path of a few
-# hundred steps would not repay however wide its batch
+# _MIN_WINDOW: every window costs each replicate one more draw call, and a
+# replicate split at all opens a generator of its own, which a path of a
+# few hundred steps would not repay however wide its batch
 _WINDOW, _MIN_WINDOW, _WINDOW_BYTES = 2048, 1024, 1 << 26
 
 
@@ -134,10 +134,11 @@ def ensemble_scan(
     one gamma or at several.
 
     noise holds the raw Normal(0, dt) draws for the P moving rows, shape
-    (R, P, M): an array, or an IncrementStream, which is drawn in windows
-    of 2048 steps, or as few as 1024 to keep a window under 64 MB, so
-    that a longer path's whole array is never held; both step the same
-    values.  start holds the P start values.  barriers,
+    (R, P, M): an array, or an IncrementStream, which is drawn into a
+    step-major (R, W, P) window of W = 2048 steps, or as few as 1024 to
+    keep a window under 64 MB, so that a longer path's whole array is
+    never held; both step the same values.  start holds the P start
+    values.  barriers,
     shape (F, M+1), are the paths of the topology's last F rows, which are
     fixed: they are written into the state at every grid index instead of
     being stepped.  drifts (the constant a of each moving row) and
@@ -196,9 +197,9 @@ def ensemble_scan(
         steps = _WINDOW_BYTES // (8 * max(R * P, 1))
         steps = min(_WINDOW, max(_MIN_WINDOW, steps))
         W = min(M, -(-steps // K) * K)
-        window = np.empty((R, P, W))
+        window = np.empty((R, W, P))
     else:
-        W, window = M, noise
+        W, window = M, noise.transpose(0, 2, 1)
     block, dW = np.empty((K + 1, P + F, GR)), np.empty((K, P, GR))
     clamped = np.empty((K, P, GR), dtype=bool)
     gap, far, push = np.empty((E, GR)), np.empty((E, GR)), np.zeros((E + 1, GR))
@@ -211,8 +212,8 @@ def ensemble_scan(
         k = min(K, M - s)
         at = s % W  # the chunk's first step within its window
         if streamed and at == 0:
-            noise.fill(window[:, :, : min(W, M - s)])
-        np.divide(window[:, :, at : at + k].T[:, :, None], sqg,
+            noise.fill(window[:, : min(W, M - s)])
+        np.divide(window[:, at : at + k].transpose(1, 2, 0)[:, :, None], sqg,
                   out=dW[:k].reshape(k, P, G, R))
         if F:
             block[: k + 1, P:] = barriers[:, s : s + k + 1].T[:, :, None]

@@ -9,6 +9,7 @@ from whittaker2d import (
     ensemble_increments,
     simulate,
 )
+from whittaker2d import noise
 from whittaker2d.noise import IncrementStream, sample_increments
 
 
@@ -59,26 +60,27 @@ def test_large_key_words_name_their_own_streams():
     )
 
 
-def test_particle_slices_are_addressable():
-    # a particle's stream does not depend on how many other streams exist
-    grid = TimeGrid(0.0, 1.0, 50)
-    small = sample_increments(9, 0, grid, 1)
-    big = sample_increments(9, 0, grid, 6)
-    np.testing.assert_array_equal(small[0], big[0])
+def test_step_prefixes_are_addressable():
+    # the first m steps of a path do not depend on how many steps follow
+    grid, short = TimeGrid(0.0, 1.0, 50), TimeGrid(0.0, 0.4, 20)
+    long = ensemble_increments(9, range(2), grid, 3)
+    head = ensemble_increments(9, range(2), short, 3)
+    assert head.tobytes() == long[:, :, :20].tobytes()
 
 
 @pytest.mark.parametrize("seed", [0, 2**53 + 1, 2**64 - 1])
 @pytest.mark.parametrize("rep", [0, 2**53 + 1, 2**64 - 1])
 def test_streams_match_fresh_philox(seed, rep):
-    # stream (rep, p) is what a fresh Philox with key (seed, rep) and
-    # counter block [0, p+1, 0, 0] draws, scaled by sqrt(dt)
+    # replicate rep is what a fresh Philox with key (seed, rep) and counter
+    # block [0, 1, 0, 0] draws, scaled by sqrt(dt), step-major: normal
+    # n*P + p is particle p's increment at step n
     grid = TimeGrid(0.0, 1.0, 33)
-    block = ensemble_increments(seed, range(rep, rep + 1), grid, 3)
     key = np.array([seed, rep], dtype=np.uint64)
-    for p in range(3):
-        rng = Generator(Philox(key=key, counter=[0, p + 1, 0, 0]))
-        expect = rng.standard_normal(grid.steps) * np.sqrt(grid.dt)
-        np.testing.assert_array_equal(block[0, p], expect)
+    for P in (1, 3):
+        block = ensemble_increments(seed, range(rep, rep + 1), grid, P)
+        rng = Generator(Philox(key=key, counter=[0, 1, 0, 0]))
+        expect = rng.standard_normal(grid.steps * P).reshape(grid.steps, P)
+        np.testing.assert_array_equal(block[0], expect.T * np.sqrt(grid.dt))
 
 
 def test_stream_layout_pinned():
@@ -86,7 +88,8 @@ def test_stream_layout_pinned():
     grid = TimeGrid(0.0, 1.0, 4)
     block = ensemble_increments(2024, range(3), grid, 2)
     assert block[0, 0, 0] == -0.5357376862198944
-    assert block[2, 1, 3] == -0.4811932550391372
+    assert block[0, 1, 0] == 0.36174300649031693
+    assert block[2, 1, 3] == 0.2625354043771897
     top = ensemble_increments(2**64 - 1, range(2**64 - 1, 2**64), grid, 1)
     assert top[0, 0, 1] == 0.9403915178539011
 
@@ -99,11 +102,29 @@ def test_stream_windows_concatenate_to_one_draw(seed, rep):
     reps = range(rep, rep + 3)
     stream = IncrementStream(seed, reps, grid, 2)
     assert stream.shape == (3, 2, 1000)
-    parts = [stream.fill(np.empty((3, 2, k))) for k in (1, 299, 600, 100)]
+    parts = [stream.fill(np.empty((3, k, 2))) for k in (1, 299, 600, 100)]
     whole = ensemble_increments(seed, reps, grid, 2)
-    assert np.concatenate(parts, axis=2).tobytes() == whole.tobytes()
+    drawn = np.concatenate(parts, axis=1).transpose(0, 2, 1)
+    assert drawn.tobytes() == whole.tobytes()
     with pytest.raises(ValueError):
-        stream.fill(np.empty((3, 2, 1)))
+        stream.fill(np.empty((3, 1, 2)))
+
+
+def test_stream_opens_one_generator_per_replicate(monkeypatch):
+    # three windows of 4 replicates x 3 particles: each fill builds the one
+    # generator it re-keys, and each replicate opens one generator of its
+    # own that it keeps across windows, not one per particle
+    opened = []
+
+    def counting(*args, **kwargs):
+        opened.append(1)
+        return Philox(*args, **kwargs)
+
+    monkeypatch.setattr(noise, "Philox", counting)
+    stream = IncrementStream(11, range(4), TimeGrid(0.0, 1.0, 30), 3)
+    for _ in range(3):
+        stream.fill(np.empty((4, 10, 3)))
+    assert len(opened) == 4 + 3
 
 
 def test_ensemble_matches_per_replicate():

@@ -386,7 +386,7 @@ def test_streamed_scan_matches_materialized(
         monkeypatch.setattr(sde, "_WINDOW_BYTES", 8 * R * 4 * room)
     stream = IncrementStream(30, range(R), grid, 4)
     drawn, fill = [], stream.fill
-    stream.fill = lambda out: drawn.append(out.shape[2]) or fill(out)
+    stream.fill = lambda out: drawn.append(out.shape[1]) or fill(out)
     got, got_clamps, starts = _scan_blocks(FOUR_PARTICLE, stream, gammas, 0.5)
     inc = ensemble_increments(30, range(R), grid, 4)
     expect, clamps, expect_starts = _scan_blocks(
