@@ -2,14 +2,18 @@
 
 All estimators are plain-frequency Monte Carlo over replicate-indexed noise
 streams: replicate r always consumes the same increments no matter how the
-work is batched or threaded, so results are bit-identical across worker
-counts, and hit counts reduce by integer sums.  Every estimator reports the
-fraction of replicates whose drift was clamped; experiments with more than
-1% contamination should not be trusted and are flagged.
+work is batched, tiled or threaded, so results are bit-identical across
+worker counts and tile counts, and hit counts reduce by integer sums.  The
+free particle scores each batch in cache-sized tiles of replicates, spread
+over the usable cores by one module-level thread pool.  Every estimator
+reports the fraction of replicates whose drift was clamped; experiments with
+more than 1% contamination should not be trusted and are flagged.
 """
 
 from __future__ import annotations
 
+import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -103,18 +107,83 @@ def _checked_gammas(gammas, batch_size: int) -> np.ndarray:
     return gammas
 
 
-def _free_maxdev(config, gamma, grid, phi_vals, inc):
-    """_maxdev of the free particle at one gamma: the path is an exact
-    cumulative sum, built and compared with phi in one (R, M+1) buffer."""
-    paths = np.empty((inc.shape[0], grid.npoints))
-    paths[:, 0] = config.initial.entries[0]
+# A free-particle tile's (R, M+1) path buffer is sized to about this many
+# bytes, so that a tile's path and noise stay in cache while every gamma is
+# scored; 5 MB is about 650 replicates at M = 1000.
+_TILE_BYTES = 5 << 20
+_pool = None  # the tile pool, created on first use and dropped by a fork
+_pool_lock = threading.Lock()
+
+
+def _cores() -> int:
+    """Cores this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no sched_getaffinity on this platform
+        return os.cpu_count() or 1
+
+
+def _tile_pool() -> ThreadPoolExecutor:
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            _pool = ThreadPoolExecutor(max_workers=_cores())
+        return _pool
+
+
+def _forget_pool():
+    # a forked child inherits the pool object but none of its threads, so
+    # work submitted to it would never run
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _free_maxdev(config, gammas, grid, phi_vals, seed, reps):
+    """_maxdev of the free particle for one tile of replicates: at each
+    gamma the path is an exact cumulative sum of the tile's increments,
+    built and compared with phi in one reused (R, M+1) buffer."""
+    inc = ensemble_increments(seed, reps, grid, 1)[:, 0, :]
+    x0 = config.initial.entries[0]
+    paths = np.empty((len(reps), grid.npoints))
     steps = paths[:, 1:]
-    np.divide(inc[:, 0, :], np.sqrt(gamma), out=steps)
-    np.cumsum(steps, axis=1, out=steps)
-    steps += config.initial.entries[0]
-    paths -= phi_vals[0]
-    np.abs(paths, out=paths)
-    return np.max(paths, axis=1)
+    maxdev = np.empty((len(gammas), len(reps)))
+    for row, gamma in zip(maxdev, gammas):
+        paths[:, 0] = x0
+        np.divide(inc, np.sqrt(gamma), out=steps)
+        np.cumsum(steps, axis=1, out=steps)
+        steps += x0
+        paths -= phi_vals[0]
+        np.abs(paths, out=paths)
+        np.max(paths, axis=1, out=row)
+    return maxdev
+
+
+def _free_tiles(config, gammas, grid, phi_vals, seed, reps):
+    """_free_maxdev of reps, scored in contiguous tiles of about
+    _TILE_BYTES of path each, their count rounded up to a multiple of the
+    usable cores, on the tile pool.  A replicate's stream depends only on
+    its key, so the result is the single-tile one, byte for byte."""
+    R = len(reps)
+    n = -(-R * grid.npoints * 8 // _TILE_BYTES)
+    cores = _cores()
+    if n > 1 and cores > 1:
+        n = min(R, -(-n // cores) * cores)
+    tiles = [reps[R * i // n : R * (i + 1) // n] for i in range(n)]
+
+    def score(tile):
+        return _free_maxdev(config, gammas, grid, phi_vals, seed, tile)
+
+    if n == 1 or cores == 1:
+        parts = [score(t) for t in tiles]
+    else:
+        # tile tasks submit nothing to the pool, so a caller's own worker
+        # threads may wait on it without deadlock
+        parts = list(_tile_pool().map(score, tiles))
+    return np.concatenate(parts, axis=1)
 
 
 def _maxdev(
@@ -129,10 +198,7 @@ def _maxdev(
     plus clamp counts, both of shape (G, R), for the replicates reps of
     seed."""
     if config.N == 1 and float(config.drifts[0]) == 0.0:
-        inc = ensemble_increments(seed, reps, grid, 1)
-        maxdev = np.stack([
-            _free_maxdev(config, gamma, grid, phi_vals, inc) for gamma in gammas
-        ])
+        maxdev = _free_tiles(config, gammas, grid, phi_vals, seed, reps)
         return maxdev, np.zeros(maxdev.shape, dtype=int)
     maxdev = np.zeros(gammas.size * len(reps))
 
@@ -343,10 +409,17 @@ def interlace_event_frequency(
     bad = np.zeros((4, gammas.size), dtype=int)
     for reps in _batches(n_samples, batch_size):
         mins = np.full((len(_GAP_HI), gammas.size * len(reps)), np.inf)
+        buf = np.empty((0, mins.shape[1]))
 
         def observe(i0, block):
-            gaps = block[:, _GAP_HI] - block[:, _GAP_LO]
-            np.minimum(mins, np.min(gaps, axis=0), out=mins)
+            # one gap at a time into a buffer kept across chunks
+            nonlocal buf
+            if len(buf) < len(block):
+                buf = np.empty(block[:, 0].shape)
+            gap = buf[: len(block)]
+            for row, hi, lo in zip(mins, _GAP_HI, _GAP_LO):
+                np.subtract(block[:, hi], block[:, lo], out=gap)
+                np.minimum(row, gap.min(axis=0), out=row)
 
         clamps = ensemble_scan(
             _FOUR_PARTICLE, np.zeros(4), IncrementStream(seed, reps, grid, 4),

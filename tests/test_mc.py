@@ -1,3 +1,7 @@
+import os
+import signal
+import threading
+import time
 import tracemalloc
 import warnings
 
@@ -18,6 +22,7 @@ from whittaker2d import (
     smallball_probability,
     wilson_interval,
 )
+from whittaker2d import mc
 from whittaker2d.mc import DegenerateFitError, EmptySampleError
 from whittaker2d.noise import ensemble_increments
 
@@ -193,6 +198,107 @@ def test_ldp_slope_worker_count_invariance():
     ]
     assert fits[0].results == fits[1].results
     assert fits[0].slope == fits[1].slope
+
+
+@pytest.fixture
+def cores(monkeypatch):
+    """Sets the core count mc tiles for; a tile pool made under it is shut
+    down afterwards."""
+    monkeypatch.setattr(mc, "_pool", None)
+    yield lambda n: monkeypatch.setattr(mc, "_cores", lambda: n)
+    if mc._pool is not None:
+        mc._pool.shutdown()
+
+
+_FREE_GRID = TimeGrid(0.0, 1.0, 500)
+_FREE_PHI = PathBundle.linear(
+    1, _FREE_GRID, TriangularConfiguration.zeros(1),
+    TriangularConfiguration(1, np.array([0.5])),
+)
+_FREE_GAMMAS = np.array([8.0, 16.0, 32.0, 64.0])
+
+
+@pytest.mark.parametrize(
+    "reps, tile_reps",
+    [(range(10, 9000), None), (range(2501), None), (range(7), 3)],
+    ids=["range(10,9000)", "2501", "7"],
+)
+@pytest.mark.parametrize("n_cores", [1, 2, 3])
+def test_free_particle_tiles_match_one_tile(cores, monkeypatch, n_cores,
+                                            reps, tile_reps):
+    # tiles of about _TILE_BYTES of path (7 replicates: tiles of 3), their
+    # count rounded up to a multiple of the cores, none dividing the batch
+    if tile_reps is not None:
+        monkeypatch.setattr(mc, "_TILE_BYTES",
+                            tile_reps * _FREE_GRID.npoints * 8)
+    cores(n_cores)
+    cfg = _cfg(1, 8.0)
+    one = mc._free_maxdev(cfg, _FREE_GAMMAS, _FREE_GRID, _FREE_PHI.values,
+                          11, reps)
+    maxdev, clamps = mc._maxdev(cfg, _FREE_GAMMAS, _FREE_GRID,
+                                _FREE_PHI.values, 11, reps)
+    assert maxdev.shape == one.shape == (4, len(reps))
+    assert maxdev.tobytes() == one.tobytes()
+    assert not clamps.any()
+
+
+def test_free_particle_batch_under_a_tile_runs_inline(cores):
+    cores(2)
+    ldp_slope(_cfg(1, 8.0), _FREE_PHI, 0.25, _FREE_GAMMAS, 500, seed=2)
+    assert mc._pool is None
+
+
+def _finishes(fn, timeout):
+    """fn's value, once a daemon thread has run it within timeout s."""
+    out = []
+    t = threading.Thread(target=lambda: out.append(fn()), daemon=True)
+    t.start()
+    t.join(timeout)
+    assert not t.is_alive(), f"still running after {timeout} s"
+    return out[0]
+
+
+def test_free_particle_tiles_under_caller_workers(cores):
+    # two caller threads each wait on tiles of the one tile pool
+    cores(2)
+    fits = [
+        _finishes(lambda: ldp_slope(
+            _cfg(1, 8.0), _FREE_PHI, 0.25, _FREE_GAMMAS, 6000, seed=4,
+            batch_size=3000, n_workers=workers), 120)
+        for workers in (1, 2)
+    ]
+    assert mc._pool is not None
+    assert fits[0].results == fits[1].results
+    assert fits[0].slope == fits[1].slope
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_free_particle_tiles_in_a_forked_child(cores):
+    cores(2)
+    args = (_cfg(1, 8.0), _FREE_PHI, 0.25, _FREE_GAMMAS, 3000)
+    fit = ldp_slope(*args, seed=6)
+    assert mc._pool is not None
+    with warnings.catch_warnings():
+        # forking a process that runs threads warns on some Pythons
+        warnings.simplefilter("ignore", DeprecationWarning)
+        pid = os.fork()
+    if pid == 0:
+        code = 1
+        try:
+            signal.alarm(60)
+            again = ldp_slope(*args, seed=6)
+            code = 0 if (again.results, again.slope) == (
+                fit.results, fit.slope) else 2
+        finally:
+            os._exit(code)
+    deadline = time.monotonic() + 90
+    while (done := os.waitpid(pid, os.WNOHANG))[0] == 0:
+        if time.monotonic() > deadline:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            pytest.fail("forked child did not finish")
+        time.sleep(0.05)
+    assert os.waitstatus_to_exitcode(done[1]) == 0
 
 
 def test_interlace_frequencies_margin_monotonicity():
