@@ -262,7 +262,7 @@ def _cmd_interlace(args) -> int:
                 f"{r.c_violation!r},{r.clamp_contamination!r}\n"
             )
         worst = max(r.a_violation for r in freqs)
-        f.write(f"# slope={worst!r} predicted=0.0\n")
+        f.write(f"# worst_a_violation={worst!r}\n")
     return 0
 
 
@@ -274,7 +274,7 @@ def _cmd_equivalence(args) -> int:
             "gamma,eta,budget,n_in_tube,n_violations,violation_fraction,"
             "max_gap_in_tube\n"
         )
-        last = None
+        worst = 0.0
         for g in args.gammas:
             r = equivalence_experiment(
                 g, args.eta, grid, args.samples, args.seed
@@ -284,10 +284,8 @@ def _cmd_equivalence(args) -> int:
                 f"{r.n_violations},{r.violation_fraction!r},"
                 f"{r.max_gap_in_tube!r}\n"
             )
-            last = r
-        f.write(
-            f"# slope={last.violation_fraction!r} predicted=0.0\n"
-        )
+            worst = max(worst, r.violation_fraction)
+        f.write(f"# worst_violation_fraction={worst!r}\n")
     return 0
 
 

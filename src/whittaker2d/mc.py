@@ -3,9 +3,12 @@
 All estimators are plain-frequency Monte Carlo over replicate-indexed noise
 streams: replicate r always consumes the same increments no matter how the
 work is batched, tiled or threaded, so results are bit-identical across
-worker counts and tile counts, and hit counts reduce by integer sums.  The
-free particle scores each batch in cache-sized tiles of replicates, spread
-over the usable cores by one module-level thread pool.  Every estimator
+worker counts and tile counts, and hit counts reduce by integer sums.  One
+tiling rule (_tiled) cuts each batch that is wide enough into contiguous
+tiles of replicates, scored by the calling thread and one module-level
+thread pool on the usable cores: the free particle's tiles are cache-sized
+paths, and every other tile draws its own noise stream and runs its own
+ensemble_scan, while a narrow batch runs as one inline scan.  Every estimator
 reports the fraction of replicates whose drift was clamped; experiments with
 more than 1% contamination should not be trusted and are flagged.
 """
@@ -14,7 +17,7 @@ from __future__ import annotations
 
 import os
 import threading
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,6 +35,7 @@ from .model import (
 from .noise import IncrementStream, ensemble_increments
 from .rate import default_coincidence_eps, total_rate
 from .sde import (
+    NonFiniteError,
     _gap_budget,
     ensemble_scan,
     simulate_lower_barrier_euler,
@@ -107,10 +111,26 @@ def _checked_gammas(gammas, batch_size: int) -> np.ndarray:
     return gammas
 
 
-# A free-particle tile's (R, M+1) path buffer is sized to about this many
-# bytes, so that a tile's path and noise stay in cache while every gamma is
-# scored; 5 MB is about 650 replicates at M = 1000.
+# The tiling rule, one for every estimator.  A batch of R replicates, each
+# holding nbytes in its tile and adding width values to each numpy call of
+# the tile, is cut into as few contiguous tiles as keep each under
+# _TILE_BYTES, their count rounded up to a multiple of the usable cores, but
+# into no more than leave each tile _MIN_TILE_WIDTH values per call (rounded
+# down to a multiple of the cores); a batch that makes one tile runs inline.
+# The free particle's tile is its (R, M+1) path, scored once per gamma, and
+# 5 MB keeps it in cache.  A stepped tile holds its noise, and a narrow one
+# loses to the interpreter overhead of each step's calls: on 2 cores, in
+# medians of fresh processes, the smallball-tri shape (4000 replicates,
+# N = 2, M = 250) took 0.46-0.50 s in one scan, 0.31-0.39 s in two tiles of
+# 2000 replicates (6000 values per call) and 0.41-0.45 s in four of 1000.
+# A criterion-8 batch (20,000 replicates) took 0.87-0.94 s and 157 MB in
+# one scan, 0.66-0.69 s and 64 MB in ten tiles of 2000, 0.53-0.72 s and
+# 99 MB in four of 5000; on one core its ten tiles, run in turn, took
+# 0.62-0.77 s against 0.71-0.85 s.  The criterion-7 shape (2000 replicates,
+# 2 gammas, 4 rows) went from 0.58 to 0.40 s in two tiles, while
+# interlace-long's 100 replicates, 800 values per call, stay inline.
 _TILE_BYTES = 5 << 20
+_MIN_TILE_WIDTH = 6000
 _pool = None  # the tile pool, created on first use and dropped by a fork
 _pool_lock = threading.Lock()
 
@@ -124,10 +144,11 @@ def _cores() -> int:
 
 
 def _tile_pool() -> ThreadPoolExecutor:
+    # the calling thread scores a share of the tiles itself
     global _pool
     with _pool_lock:
         if _pool is None:
-            _pool = ThreadPoolExecutor(max_workers=_cores())
+            _pool = ThreadPoolExecutor(max_workers=max(1, _cores() - 1))
         return _pool
 
 
@@ -140,6 +161,46 @@ def _forget_pool():
 
 if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _tiled(score, reps, nbytes, width):
+    """score(reps), a tuple of arrays whose last axis is the replicate,
+    computed in contiguous tiles of reps by the tiling rule above and
+    concatenated in replicate order.  A replicate's stream depends only on
+    its key, so the result is score(reps)'s, byte for byte."""
+    R = len(reps)
+    n = -(-R * nbytes // _TILE_BYTES)
+    cores = _cores()
+    if n > 1 and cores > 1:
+        n = -(-n // cores) * cores
+    widest = R * width // _MIN_TILE_WIDTH
+    if widest > cores:
+        widest -= widest % cores
+    n = min(n, widest, R)
+    if n <= 1:
+        return score(reps)
+    tiles = [reps[R * i // n : R * (i + 1) // n] for i in range(n)]
+    workers = min(n, cores)
+
+    def run(w):
+        return [score(t) for t in tiles[w::workers]]
+
+    parts = [None] * n
+    try:
+        # tile tasks submit nothing to the pool, so a caller's own worker
+        # threads may wait on it without deadlock
+        futures = [_tile_pool().submit(run, w) for w in range(1, workers)]
+        try:
+            parts[::workers] = run(0)
+        finally:
+            wait(futures)
+        for w, f in enumerate(futures, 1):
+            parts[w::workers] = f.result()
+    except NonFiniteError:
+        # each tile stops at its own first non-finite step; one scan of the
+        # batch raises at the earliest of them, at its lowest column
+        return score(reps)
+    return tuple(np.concatenate(a, axis=-1) for a in zip(*parts))
 
 
 def _free_maxdev(config, gammas, grid, phi_vals, seed, reps):
@@ -162,30 +223,6 @@ def _free_maxdev(config, gammas, grid, phi_vals, seed, reps):
     return maxdev
 
 
-def _free_tiles(config, gammas, grid, phi_vals, seed, reps):
-    """_free_maxdev of reps, scored in contiguous tiles of about
-    _TILE_BYTES of path each, their count rounded up to a multiple of the
-    usable cores, on the tile pool.  A replicate's stream depends only on
-    its key, so the result is the single-tile one, byte for byte."""
-    R = len(reps)
-    n = -(-R * grid.npoints * 8 // _TILE_BYTES)
-    cores = _cores()
-    if n > 1 and cores > 1:
-        n = min(R, -(-n // cores) * cores)
-    tiles = [reps[R * i // n : R * (i + 1) // n] for i in range(n)]
-
-    def score(tile):
-        return _free_maxdev(config, gammas, grid, phi_vals, seed, tile)
-
-    if n == 1 or cores == 1:
-        parts = [score(t) for t in tiles]
-    else:
-        # tile tasks submit nothing to the pool, so a caller's own worker
-        # threads may wait on it without deadlock
-        parts = list(_tile_pool().map(score, tiles))
-    return np.concatenate(parts, axis=1)
-
-
 def _maxdev(
     config: ModelConfig,
     gammas: np.ndarray,
@@ -198,23 +235,39 @@ def _maxdev(
     plus clamp counts, both of shape (G, R), for the replicates reps of
     seed."""
     if config.N == 1 and float(config.drifts[0]) == 0.0:
-        maxdev = _free_tiles(config, gammas, grid, phi_vals, seed, reps)
+        (maxdev,) = _tiled(
+            lambda tile: (_free_maxdev(config, gammas, grid, phi_vals, seed,
+                                       tile),),
+            reps, grid.npoints * 8, grid.npoints,
+        )
         return maxdev, np.zeros(maxdev.shape, dtype=int)
-    maxdev = np.zeros(gammas.size * len(reps))
+    P = tri_size(config.N)
+    drifts = np.repeat(config.drifts, np.arange(1, config.N + 1))
 
-    def observe(i0, block):
-        dev = block - phi_vals[:, i0 : i0 + len(block)].T[:, :, None]
-        np.abs(dev, out=dev)
-        np.maximum(maxdev, np.max(dev, axis=(0, 1)), out=maxdev)
+    def score(tile):
+        maxdev = np.zeros(gammas.size * len(tile))
+        buf = np.empty((0, P, maxdev.size))
 
-    clamps = ensemble_scan(
-        Topology.triangle(config.N), config.initial.entries,
-        IncrementStream(seed, reps, grid, tri_size(config.N)),
-        gammas, grid.dt, config.drift_cap,
-        drifts=np.repeat(config.drifts, np.arange(1, config.N + 1)),
-        observe=observe,
-    )
-    return maxdev.reshape(clamps.shape), clamps
+        def observe(i0, block):
+            # |block - phi| into a buffer kept across chunks
+            nonlocal buf
+            if len(buf) < len(block):
+                buf = np.empty(block.shape)
+            dev = buf[: len(block)]
+            np.subtract(block, phi_vals[:, i0 : i0 + len(block)].T[:, :, None],
+                        out=dev)
+            np.abs(dev, out=dev)
+            np.maximum(maxdev, np.max(dev, axis=(0, 1)), out=maxdev)
+
+        clamps = ensemble_scan(
+            Topology.triangle(config.N), config.initial.entries,
+            IncrementStream(seed, tile, grid, P),
+            gammas, grid.dt, config.drift_cap,
+            drifts=drifts, observe=observe,
+        )
+        return maxdev.reshape(clamps.shape), clamps
+
+    return _tiled(score, reps, grid.steps * P * 8, gammas.size * P)
 
 
 def _smallball(config, gammas, phi, delta, n_samples, seed, batch_size,
@@ -407,8 +460,9 @@ def interlace_event_frequency(
     g_col = np.c_[[m.g for m in margins]]
     # per gamma: a, b, c violations and clamped replicates
     bad = np.zeros((4, gammas.size), dtype=int)
-    for reps in _batches(n_samples, batch_size):
-        mins = np.full((len(_GAP_HI), gammas.size * len(reps)), np.inf)
+
+    def score(tile):
+        mins = np.full((len(_GAP_HI), gammas.size * len(tile)), np.inf)
         buf = np.empty((0, mins.shape[1]))
 
         def observe(i0, block):
@@ -422,11 +476,15 @@ def interlace_event_frequency(
                 np.minimum(row, gap.min(axis=0), out=row)
 
         clamps = ensemble_scan(
-            _FOUR_PARTICLE, np.zeros(4), IncrementStream(seed, reps, grid, 4),
+            _FOUR_PARTICLE, np.zeros(4), IncrementStream(seed, tile, grid, 4),
             gammas, grid.dt, cap,
             observe=observe,
         )
-        m = mins.reshape(-1, *clamps.shape)  # (gap, gamma, replicate)
+        # (gap, gamma, replicate)
+        return mins.reshape(-1, *clamps.shape), clamps
+
+    for reps in _batches(n_samples, batch_size):
+        m, clamps = _tiled(score, reps, grid.steps * 4 * 8, gammas.size * 4)
         bad += [
             np.count_nonzero(np.min(m[0:2], axis=0) < -f_col, axis=1),
             np.count_nonzero(np.min(m[2:4], axis=0) < -2 * g_col, axis=1),

@@ -183,6 +183,36 @@ def test_interlace_and_equivalence_run(capsys):
     assert "violation_fraction" in out.splitlines()[1]
 
 
+def _summary(out, key):
+    """The value of the one `# key=` line of out, and the data rows."""
+    (value,) = [line.split("=", 1)[1] for line in out.splitlines()
+                if line.startswith(f"# {key}=")]
+    rows = [line.split(",") for line in out.splitlines()[2:]
+            if not line.startswith("#")]
+    return float(value), rows
+
+
+def test_interlace_and_equivalence_summaries_name_their_number(capsys):
+    # each reports its worst value over the gamma list (for interlace the
+    # first gamma's, not the last's), and neither calls it a slope
+    code, out, _ = run(
+        ["interlace", "--samples", "200", "--gammas", "4,64", "--dt", "0.01",
+         "--margin-scale", "0.05"],
+        capsys,
+    )
+    assert code == 0 and "# slope=" not in out
+    worst, rows = _summary(out, "worst_a_violation")
+    assert worst == max(float(r[1]) for r in rows) > 0
+    code, out, _ = run(
+        ["equivalence", "--samples", "200", "--gammas", "1,32", "--dt",
+         "0.01"],
+        capsys,
+    )
+    assert code == 0 and "# slope=" not in out
+    worst, rows = _summary(out, "worst_violation_fraction")
+    assert worst == max(float(r[5]) for r in rows)
+
+
 @pytest.mark.parametrize("command", ["interlace", "equivalence", "slope"])
 @pytest.mark.parametrize("gammas", ["0", "16,-1", "nan", "inf", ","])
 def test_bad_gamma_exits_one(command, gammas, capsys, tmp_path):

@@ -24,7 +24,8 @@ from whittaker2d import (
 )
 from whittaker2d import mc
 from whittaker2d.mc import DegenerateFitError, EmptySampleError
-from whittaker2d.noise import ensemble_increments
+from whittaker2d.noise import IncrementStream, ensemble_increments
+from whittaker2d.sde import NonFiniteError
 
 
 def _flat_target(N, grid):
@@ -299,6 +300,157 @@ def test_free_particle_tiles_in_a_forked_child(cores):
             pytest.fail("forked child did not finish")
         time.sleep(0.05)
     assert os.waitstatus_to_exitcode(done[1]) == 0
+
+
+_STEP_GRID = TimeGrid(0.0, 0.25, 100)
+_STEPPED = {
+    "N=2": (_cfg(2, 8.0), PathBundle.linear(
+        2, _STEP_GRID, TriangularConfiguration.zeros(2),
+        TriangularConfiguration(2, np.array([-0.2125, 0.1, 0.2125])))),
+    "drifted N=1": (_cfg(1, 8.0, drifts=np.array([0.3])), PathBundle.linear(
+        1, _STEP_GRID, TriangularConfiguration.zeros(1),
+        TriangularConfiguration(1, np.array([0.2])))),
+}
+
+
+@pytest.fixture
+def small_tiles(monkeypatch):
+    """Allows tiles of a few hundred state values and a few replicates'
+    noise; returns the list of the replicate counts of the ensemble_scan
+    calls mc makes from then on."""
+    def allow():
+        scans = []
+        scan = mc.ensemble_scan
+
+        def counted(topology, start, noise, *args, **kwargs):
+            scans.append(noise.shape[0])
+            return scan(topology, start, noise, *args, **kwargs)
+
+        monkeypatch.setattr(mc, "ensemble_scan", counted)
+        monkeypatch.setattr(mc, "_TILE_BYTES", 100_000)
+        monkeypatch.setattr(mc, "_MIN_TILE_WIDTH", 600)
+        return scans
+
+    return allow
+
+
+@pytest.mark.parametrize("case", list(_STEPPED))
+@pytest.mark.parametrize("n_cores", [1, 2, 3])
+def test_stepped_tiles_match_one_scan(cores, small_tiles, n_cores, case):
+    # 1009 replicates: prime, so no tile count divides them
+    cfg, phi = _STEPPED[case]
+    gammas, reps = np.array([4.0, 8.0]), range(5, 1014)
+    one = mc._maxdev(cfg, gammas, _STEP_GRID, phi.values, 13, reps)
+    cores(n_cores)
+    scans = small_tiles()
+    tiled = mc._maxdev(cfg, gammas, _STEP_GRID, phi.values, 13, reps)
+    assert len(scans) > 1 and sum(scans) == len(reps)
+    assert [a.tobytes() for a in tiled] == [a.tobytes() for a in one]
+
+
+@pytest.mark.parametrize("n_cores", [1, 2, 3])
+def test_interlace_tiles_match_one_scan(cores, small_tiles, n_cores):
+    args = ([4.0, 64.0], 1009, 21)
+    kwargs = dict(dt=0.01, margin_scale=0.05, batch_size=1009)
+    one = interlace_event_frequency(*args, **kwargs)
+    cores(n_cores)
+    scans = small_tiles()
+    tiled = interlace_event_frequency(*args, **kwargs)
+    assert len(scans) > 1 and sum(scans) == 1009
+    assert tiled == one
+    assert 0 < one[1].c_violation < one[0].c_violation < 1
+
+
+def test_interlace_long_shape_runs_inline(cores):
+    # 100 replicates x 2 gammas x 4 rows: 800 values per call
+    cores(2)
+    interlace_event_frequency([16.0, 64.0], 100, seed=3, dt=1e-4,
+                              batch_size=100)
+    assert mc._pool is None
+
+
+def test_stepped_tiles_under_caller_workers(cores):
+    # two caller threads each wait on stepped tiles of the one tile pool
+    cores(2)
+    cfg, phi = _STEPPED["N=2"]
+    est = [
+        _finishes(lambda: smallball_probability(
+            cfg, phi, 0.3, 8000, seed=4, batch_size=4000,
+            n_workers=workers), 120)
+        for workers in (1, 2)
+    ]
+    assert mc._pool is not None
+    assert est[0] == est[1]
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_stepped_tiles_in_a_forked_child(cores):
+    cores(2)
+    cfg, phi = _STEPPED["N=2"]
+    est = smallball_probability(cfg, phi, 0.3, 4000, seed=6)
+    assert mc._pool is not None
+    with warnings.catch_warnings():
+        # forking a process that runs threads warns on some Pythons
+        warnings.simplefilter("ignore", DeprecationWarning)
+        pid = os.fork()
+    if pid == 0:
+        code = 1
+        try:
+            signal.alarm(60)
+            again = smallball_probability(cfg, phi, 0.3, 4000, seed=6)
+            code = 0 if again == est else 2
+        finally:
+            os._exit(code)
+    deadline = time.monotonic() + 90
+    while (done := os.waitpid(pid, os.WNOHANG))[0] == 0:
+        if time.monotonic() > deadline:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            pytest.fail("forked child did not finish")
+        time.sleep(0.05)
+    assert os.waitstatus_to_exitcode(done[1]) == 0
+
+
+class _Poisoned(IncrementStream):
+    """A stream whose draw of (replicate, step, particle) in POISON is
+    +inf."""
+
+    POISON = [(100, 9, 0), (700, 4, 2), (1000, 4, 1)]
+
+    def __init__(self, seed, replicates, grid, n_streams):
+        super().__init__(seed, replicates, grid, n_streams)
+        self.reps, self.at = replicates, 0
+
+    def fill(self, out):
+        super().fill(out)
+        k = out.shape[1]
+        for rep, step, particle in self.POISON:
+            if rep in self.reps and self.at <= step < self.at + k:
+                out[self.reps.index(rep), step - self.at, particle] = np.inf
+        self.at += k
+        return out
+
+
+@pytest.mark.parametrize("n_cores", [2, 3])
+def test_non_finite_tile_raises_what_one_scan_does(cores, small_tiles,
+                                                   monkeypatch, n_cores):
+    # tiles stop at steps 10 and 5; one scan reports the earliest step,
+    # then the lowest replicate there (700, not 1000), and its particle
+    monkeypatch.setattr(mc, "IncrementStream", _Poisoned)
+    cfg, phi = _STEPPED["N=2"]
+
+    def call():
+        smallball_probability(cfg, phi, 0.3, 1009, seed=8, batch_size=1009)
+
+    with pytest.raises(NonFiniteError) as one:
+        call()
+    cores(n_cores)
+    scans = small_tiles()
+    with pytest.raises(NonFiniteError) as tiled:
+        call()
+    assert len(scans) > 2
+    assert (tiled.value.step, tiled.value.particle) == (
+        one.value.step, one.value.particle) == (5, 2)
 
 
 def test_interlace_frequencies_margin_monotonicity():
