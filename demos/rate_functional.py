@@ -15,7 +15,7 @@ from whittaker2d import (
     SamplePath,
     TimeGrid,
     TriangularConfiguration,
-    local_rate_lower,
+    particle_rate,
     total_rate,
 )
 
@@ -38,11 +38,11 @@ def main():
     # against it costs the full quadratic price
     rising = SamplePath.from_function(grid, lambda t: t)
     falling = SamplePath.from_function(grid, lambda t: -t)
-    print(f"glued ascent:  {local_rate_lower(rising, rising, eps):.4f}")
-    print(f"glued descent: {local_rate_lower(falling, falling, eps):.4f}")
+    print(f"glued ascent:  {particle_rate(rising, None, rising, eps):.4f}")
+    print(f"glued descent: {particle_rate(falling, None, falling, eps):.4f}")
+    alternate = particle_rate(rising, None, rising, eps, convention=ALTERNATE)
     print("alternate one-sided convention charges the ascent instead:",
-          f"{local_rate_lower(rising, rising, eps, ALTERNATE):.4f}",
-          f"(default {LEMMA!r})")
+          f"{alternate:.4f}", f"(default {LEMMA!r})")
 
     # order violation: the sentinel names the offending particle pair
     crossing_end = TriangularConfiguration(2, np.array([-0.5, 0.5, 0.5]))

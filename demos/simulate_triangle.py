@@ -11,8 +11,8 @@ from whittaker2d import (
     ModelConfig,
     TimeGrid,
     TriangularConfiguration,
+    ensemble_increments,
     interlacing_defect,
-    sample_increments,
     simulate,
     tri_size,
 )
@@ -26,8 +26,9 @@ def main():
         N=N, gamma=gamma, initial=TriangularConfiguration.zeros(N)
     )
 
-    for replicate in range(3):
-        noise = sample_increments(2024, replicate, grid, tri_size(N))
+    # one draw of three replicates: row r is what replicate r alone draws
+    noises = ensemble_increments(2024, range(3), grid, tri_size(N))
+    for replicate, noise in enumerate(noises):
         result = simulate(config, grid, noise)
         bundle = result.bundle
         terminal = bundle.at_time(grid.steps)
@@ -47,7 +48,7 @@ def main():
     tight = ModelConfig(
         N=N, gamma=512.0, initial=TriangularConfiguration.zeros(N)
     )
-    noise = sample_increments(2024, 0, grid, tri_size(N))
+    noise = ensemble_increments(2024, range(0, 1), grid, tri_size(N))[0]
     result = simulate(tight, grid, noise)
     spread = np.max(np.abs(result.bundle.values))
     print(f"gamma=512 keeps the array within {spread:.4f} of the start")

@@ -65,11 +65,12 @@ class DegenerateFitError(RuntimeError):
     """Fewer than two gamma points with nonzero hit counts."""
 
 
-def wilson_interval(hits: int, n: int, z: float = 1.959963984540054):
+def wilson_interval(hits: int, n: int):
     """95% Wilson score interval for a binomial proportion."""
     if n <= 0:
         raise EmptySampleError("need at least one sample")
     p = hits / n
+    z = 1.959963984540054  # the standard normal's 97.5% quantile
     denom = 1.0 + z * z / n
     center = (p + z * z / (2 * n)) / denom
     half = z * np.sqrt(p * (1 - p) / n + z * z / (4 * n * n)) / denom
@@ -279,6 +280,8 @@ def _smallball(config, gammas, phi, delta, n_samples, seed, batch_size,
     if n_samples <= 0:
         raise EmptySampleError("n_samples must be positive")
     stacked = _checked_gammas(gammas, batch_size)
+    if not delta > 0:  # NaN fails too
+        raise ValueError(f"delta must be positive, got {delta}")
     if phi.N != config.N:
         raise ValueError("target bundle N does not match config")
     grid = phi.grid
@@ -357,7 +360,6 @@ def ldp_slope(
     gammas,
     n_samples: int,
     seed: int,
-    eps: float | None = None,
     batch_size: int = 5000,
     n_workers: int = 1,
 ) -> SlopeFit:
@@ -368,7 +370,8 @@ def ldp_slope(
     (common random numbers): the per-gamma estimates are correlated, not
     independent, and each equals smallball_probability at that gamma with
     the same seed.  Then regresses -log p_hat on gamma.  The action of the
-    target bundle is attached for comparison.
+    target bundle, at eps = default_coincidence_eps(dt, min gamma), is
+    attached for comparison.
     """
     gammas = np.asarray(sorted(gammas), dtype=float)
     if gammas.size < 3:
@@ -387,10 +390,8 @@ def ldp_slope(
             "fewer than two gamma points with nonzero hits"
         )
     slope, intercept = np.polyfit(gammas[usable], mlp[usable], 1)
-    e = eps if eps is not None else default_coincidence_eps(
-        phi.grid.dt, float(np.min(gammas))
-    )
-    predicted = total_rate(phi, config, e).total
+    eps = default_coincidence_eps(phi.grid.dt, float(np.min(gammas)))
+    predicted = total_rate(phi, config, eps).total
     return SlopeFit(
         gammas=gammas,
         minus_log_p=mlp,
@@ -437,7 +438,6 @@ def interlace_event_frequency(
     seed: int,
     dt: float = 1e-4,
     margin_scale: float = 1.0,
-    cap: float | None = None,
     batch_size: int = 1000,
 ) -> list[InterlaceFrequencies]:
     """Violation frequencies for the four-particle system from zero starts.
@@ -477,8 +477,7 @@ def interlace_event_frequency(
 
         clamps = ensemble_scan(
             _FOUR_PARTICLE, np.zeros(4), IncrementStream(seed, tile, grid, 4),
-            gammas, grid.dt, cap,
-            observe=observe,
+            gammas, grid.dt, None, observe=observe,
         )
         # (gap, gamma, replicate)
         return mins.reshape(-1, *clamps.shape), clamps
@@ -509,6 +508,9 @@ def interlace_event_frequency(
 # exponential-equivalence coupling
 
 
+_EQUIVALENCE_BATCH = 2000  # replicates per equivalence_experiment batch
+
+
 @dataclass(frozen=True)
 class EquivalenceReport:
     gamma: float
@@ -530,15 +532,11 @@ def equivalence_experiment(
     grid: TimeGrid,
     n_samples: int,
     seed: int,
-    lower: SamplePath | None = None,
-    upper: SamplePath | None = None,
-    start: float = 0.0,
-    cap: float | None = None,
-    batch_size: int = 2000,
 ) -> EquivalenceReport:
     """Couple the two-barrier particle with its lower-barrier-only twin.
 
-    Both are stepped by the same tamed Euler scheme under identical noise,
+    Both start at 0, between the constant barriers -0.05 and eta + 0.2,
+    and are stepped by the same tamed Euler scheme under identical noise,
     so the observed gap isolates the dynamics difference.  A replicate is
     in-tube when its two-barrier path keeps clearance eta below the upper
     barrier throughout; for those replicates the sup gap must not exceed
@@ -546,20 +544,18 @@ def equivalence_experiment(
     """
     if n_samples <= 0:
         raise EmptySampleError("n_samples must be positive")
-    _checked_gammas(gamma, batch_size)
-    if eta < 0:
-        raise ValueError("eta must be nonnegative")
-    if lower is None:
-        lower = SamplePath.constant(grid, start - 0.05)
-    if upper is None:
-        upper = SamplePath.constant(grid, start + eta + 0.2)
+    _checked_gammas(gamma, _EQUIVALENCE_BATCH)
+    if not 0.0 <= eta < np.inf:  # NaN fails too
+        raise ValueError(f"eta must be nonnegative and finite, got {eta}")
+    lower = SamplePath.constant(grid, -0.05)
+    upper = SamplePath.constant(grid, eta + 0.2)
     budget = _gap_budget(gamma, eta, grid)
     in_tube = violations = 0
     max_gap = 0.0
-    for reps in _batches(n_samples, batch_size):
+    for reps in _batches(n_samples, _EQUIVALENCE_BATCH):
         inc = ensemble_increments(seed, reps, grid, 1)[:, 0, :]
-        full = simulate_two_barrier(lower, upper, inc, start, gamma, cap)
-        twin = simulate_lower_barrier_euler(lower, inc, start, gamma, cap)
+        full = simulate_two_barrier(lower, upper, inc, 0.0, gamma)
+        twin = simulate_lower_barrier_euler(lower, inc, 0.0, gamma)
         tube = np.max(full - upper.values, axis=1) <= -eta
         gap = np.max(np.abs(twin - full), axis=1)
         in_tube += int(np.count_nonzero(tube))

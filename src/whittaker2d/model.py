@@ -308,8 +308,9 @@ class ModelConfig:
         if d.shape != (self.N,):
             raise ValueError(f"drifts must have one entry per level ({self.N})")
         object.__setattr__(self, "drifts", d)
-        if self.drift_cap is not None and self.drift_cap <= 0:
-            raise ValueError("drift_cap must be positive")
+        cap = self.drift_cap
+        if cap is not None and not cap > 0:  # NaN fails too
+            raise ValueError(f"drift_cap must be positive, got {cap}")
         report = validate_initial_entries(self.N, self.initial.entries)
         if report:
             raise ValueError(f"initial configuration not interlaced: {report}")
@@ -325,8 +326,8 @@ class InterlaceBounds:
     f: float
 
     def __post_init__(self):
-        if self.f <= 0:
-            raise ValueError("margins must be positive")
+        if not self.f > 0:  # NaN fails too
+            raise ValueError(f"margins must be positive, got f={self.f}")
 
     @property
     def g(self) -> float:

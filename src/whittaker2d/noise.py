@@ -23,16 +23,7 @@ from numpy.random import Generator, Philox
 
 from .model import TimeGrid
 
-__all__ = ["sample_increments", "ensemble_increments"]
-
-
-def sample_increments(
-    seed: int, replicate: int, grid: TimeGrid, n_streams: int
-) -> np.ndarray:
-    """Raw increment matrix of shape (n_streams, M), Normal(0, dt)."""
-    return ensemble_increments(
-        seed, range(replicate, replicate + 1), grid, n_streams
-    )[0]
+__all__ = ["ensemble_increments"]
 
 
 def ensemble_increments(
@@ -40,7 +31,8 @@ def ensemble_increments(
 ) -> np.ndarray:
     """Increments for a block of replicates, shape (R, n_streams, M): the
     whole path of an IncrementStream drawn as one window, returned as a
-    view of the step-major (R, M, n_streams) draw."""
+    view of the step-major (R, M, n_streams) draw.  Replicate r alone is
+    ensemble_increments(seed, range(r, r + 1), grid, n_streams)[0]."""
     R, P, M = len(replicates), n_streams, grid.steps
     out = IncrementStream(seed, replicates, grid, P).fill(np.empty((R, M, P)))
     return out.transpose(0, 2, 1)

@@ -45,11 +45,8 @@ __all__ = [
     "RateBreakdown",
     "InfeasibleError",
     "classify",
-    "local_rate_lower",
-    "local_rate_upper",
     "particle_rate",
     "total_rate",
-    "schilder_rate",
     "brute_force_local_rate",
     "default_coincidence_eps",
 ]
@@ -57,6 +54,7 @@ __all__ = [
 LEMMA = "lemma"
 ALTERNATE = "theorem"
 _CONVENTIONS = (LEMMA, ALTERNATE)
+_ORACLE_MAX_STEPS = 64  # the finest grid brute_force_local_rate accepts
 
 
 class InfeasibleError(RuntimeError):
@@ -94,8 +92,8 @@ def _cell_labels(
 ) -> np.ndarray:
     """(P, M) labels of every row's cells against its barrier rows, compared
     at cell midpoints; a missing barrier never coincides or is crossed."""
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    if not 0 < eps < np.inf:  # NaN fails too
+        raise ValueError(f"eps must be positive and finite, got {eps}")
     mid = _midpoints(vals)
     # int8 and row by row, so that a row's work stays in cache
     labels = np.zeros(mid.shape, dtype=np.int8)
@@ -218,66 +216,26 @@ def _row_terms(labels, pen, dt, start, eps, initial_value) -> ParticleTerms:
     )
 
 
-def _particle_terms(
-    phi: SamplePath,
-    upper: SamplePath | None,
-    lower: SamplePath | None,
-    eps: float,
-    initial_value: float | None,
-    convention: str = LEMMA,
-) -> ParticleTerms:
-    dt = phi.grid.dt
-    vals, topo = _with_barriers(phi, upper, lower)
-    labels, pen = _penalized_slopes(vals, topo, dt, eps, convention)
-    return _row_terms(labels[0], pen[0], dt, vals[0, 0], eps, initial_value)
-
-
-def local_rate_lower(
-    phi: SamplePath,
-    phi_minus: SamplePath,
-    eps: float,
-    convention: str = LEMMA,
-) -> float:
-    """Action of a path over a single lower barrier: descent is charged on
-    the coincidence set, full quadratic cost elsewhere; +inf on crossing."""
-    return _particle_terms(
-        phi, None, phi_minus, eps, None, convention
-    ).total
-
-
-def local_rate_upper(
-    phi: SamplePath,
-    phi_plus: SamplePath,
-    eps: float,
-    convention: str = LEMMA,
-) -> float:
-    """Mirror of local_rate_lower under a single upper barrier."""
-    return _particle_terms(phi, phi_plus, None, eps, None, convention).total
-
-
 def particle_rate(
     phi: SamplePath,
     upper: SamplePath | None,
     lower: SamplePath | None,
     eps: float,
-    initial_value: float,
+    initial_value: float | None = None,
     convention: str = LEMMA,
 ) -> float:
-    """Action of one particle between its (possibly absent) barriers.
+    """Action of one particle between its (possibly absent) barriers: with
+    no barrier it is the Schilder (free quadratic) action, and over one
+    barrier the local rate charged on the coincidence set.
 
-    +inf when the path starts more than eps from initial_value or crosses a
-    barrier by more than eps.
+    +inf when the path crosses a barrier by more than eps, or starts more
+    than eps from initial_value (None: the start is not checked).
     """
-    return _particle_terms(
-        phi, upper, lower, eps, initial_value, convention
-    ).total
-
-
-def schilder_rate(phi: SamplePath, initial_value: float, eps: float = 1e-9) -> float:
-    """Barrier-free quadratic action (the degenerate strictly-interlaced
-    case): half the integral of the squared slope, +inf on initial
-    mismatch."""
-    return _particle_terms(phi, None, None, eps, initial_value).total
+    dt = phi.grid.dt
+    vals, topo = _with_barriers(phi, upper, lower)
+    labels, pen = _penalized_slopes(vals, topo, dt, eps, convention)
+    terms = _row_terms(labels[0], pen[0], dt, vals[0, 0], eps, initial_value)
+    return terms.total
 
 
 @dataclass(frozen=True)
@@ -336,8 +294,6 @@ def brute_force_local_rate(
     phi: SamplePath,
     phi_minus: SamplePath,
     eps: float,
-    max_steps: int = 64,
-    feas_tol: float | None = None,
 ) -> float:
     """Independent variational oracle for the single-lower-barrier action.
 
@@ -352,9 +308,9 @@ def brute_force_local_rate(
     """
     if phi.grid != phi_minus.grid:
         raise ValueError("phi and barrier must share a grid")
-    if phi.grid.steps > max_steps:
+    if phi.grid.steps > _ORACLE_MAX_STEPS:
         raise ValueError(
-            f"oracle restricted to coarse grids (<= {max_steps} steps)"
+            f"oracle restricted to coarse grids (<= {_ORACLE_MAX_STEPS} steps)"
         )
     if np.any(phi.values < phi_minus.values - eps):
         raise InfeasibleError("target path undercuts the barrier")
@@ -396,7 +352,7 @@ def brute_force_local_rate(
     )
     psi = SamplePath(phi.grid, psi_values)
     reflected = reflect_above(psi, phi_minus, float(phi.values[0]))
-    tol = feas_tol if feas_tol is not None else max(2.0 * eps, 1e-8)
+    tol = max(2.0 * eps, 1e-8)
     gap = float(np.max(np.abs(reflected.path.values - phi.values)))
     if gap > tol:
         raise InfeasibleError(

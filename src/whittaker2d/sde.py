@@ -45,8 +45,6 @@ __all__ = [
     "solve_edge_exact",
     "simulate_lower_barrier_euler",
     "simulate_two_barrier",
-    "equivalence_gap",
-    "GapReport",
     "escape_probability_bound",
     "default_drift_cap",
 ]
@@ -323,7 +321,7 @@ _LOWER_ONLY = Topology([1, -1], [-1, -1])
 _TWO_BARRIER = Topology([1, -1, -1], [2, -1, -1])
 
 
-def _single_particle(topology, barriers, increments, start, gamma, cap):
+def _single_particle(topology, barriers, increments, start, gamma):
     grid = barriers[0].grid
     if any(b.grid != grid for b in barriers):
         raise ValueError("barriers must share a grid")
@@ -336,7 +334,7 @@ def _single_particle(topology, barriers, increments, start, gamma, cap):
         out[i0 : i0 + len(block)] = block[:, 0]
 
     ensemble_scan(
-        topology, [start], increments[:, None, :], gamma, grid.dt, cap,
+        topology, [start], increments[:, None, :], gamma, grid.dt, None,
         barriers=np.stack([b.values for b in barriers]), observe=keep,
     )
     return out.T
@@ -347,16 +345,13 @@ def simulate_lower_barrier_euler(
     increments: np.ndarray,
     start: float,
     gamma: float,
-    cap: float | None = None,
 ) -> np.ndarray:
     """Tamed Euler for dT = dW/sqrt(gamma) + exp(gamma(phi_minus - T)) dt.
 
     increments has shape (R, M) of raw Normal(0, dt) draws; returns paths of
     shape (R, M+1).
     """
-    return _single_particle(
-        _LOWER_ONLY, [phi_minus], increments, start, gamma, cap
-    )
+    return _single_particle(_LOWER_ONLY, [phi_minus], increments, start, gamma)
 
 
 def simulate_two_barrier(
@@ -365,7 +360,6 @@ def simulate_two_barrier(
     increments: np.ndarray,
     start: float,
     gamma: float,
-    cap: float | None = None,
 ) -> np.ndarray:
     """Tamed Euler for the single particle between two fixed barriers,
 
@@ -377,7 +371,7 @@ def simulate_two_barrier(
     escape-probability experiments.
     """
     return _single_particle(
-        _TWO_BARRIER, [phi_minus, phi_plus], increments, start, gamma, cap
+        _TWO_BARRIER, [phi_minus, phi_plus], increments, start, gamma
     )
 
 
@@ -385,30 +379,10 @@ def simulate_two_barrier(
 # pathwise comparisons and a-priori bounds
 
 
-@dataclass(frozen=True)
-class GapReport:
-    gap: float
-    budget: float
-    within_budget: bool
-
-
 def _gap_budget(gamma: float, eta: float, grid: TimeGrid) -> float:
     """The pathwise budget exp(-gamma * eta / 2) * (b - a) on the coupling
     gap of a particle that keeps clearance eta below its upper barrier."""
     return float(np.exp(-gamma * eta / 2.0) * (grid.b - grid.a))
-
-
-def equivalence_gap(
-    path_a: SamplePath, path_b: SamplePath, gamma: float, eta: float
-) -> GapReport:
-    """Sup-norm gap between two coupled paths against the pathwise budget
-    exp(-gamma * eta / 2) * (b - a), valid while the particle keeps
-    clearance eta below its upper barrier."""
-    if path_a.grid != path_b.grid:
-        raise ValueError("paths must share a grid")
-    gap = float(np.max(np.abs(path_a.values - path_b.values)))
-    budget = _gap_budget(gamma, eta, path_a.grid)
-    return GapReport(gap=gap, budget=budget, within_budget=gap <= budget)
 
 
 def escape_probability_bound(C0: float, C: float, L: float, T: float) -> float:

@@ -30,11 +30,10 @@ from whittaker2d import (
     escape_probability_bound,
     interlace_event_frequency,
     ldp_slope,
-    local_rate_lower,
     minimize_rate,
+    particle_rate,
     reflect_above,
     reflect_below,
-    sample_increments,
     simulate_lower_barrier_euler,
     simulate_two_barrier,
     smallball_probability,
@@ -180,7 +179,7 @@ def test_criterion_5_rate_oracle_equivalence():
             grid, np.interp(grid.times, knots, rng.uniform(-0.5, 0.5, knots.size))
         )
         phi = reflect_above(driver, lower, float(lower.values[0]) + 0.1).path
-        direct = local_rate_lower(phi, lower, 1e-9)
+        direct = particle_rate(phi, None, lower, 1e-9)
         oracle = brute_force_local_rate(phi, lower, 1e-9)
         rel = abs(oracle - direct) / max(abs(direct), 1e-6)
         worst = max(worst, rel)
@@ -325,7 +324,7 @@ def test_criterion_10_closed_form_edge_solution():
     gamma = 8.0
     worst = 0.0
     for rep in range(8):
-        inc = sample_increments(7, rep, grid, 1)
+        inc = ensemble_increments(7, range(rep, rep + 1), grid, 1)[0]
         driver = np.concatenate(([0.0], np.cumsum(inc[0]))) / np.sqrt(gamma)
         closed = solve_edge_exact(lower, driver, 0.1, gamma)
         euler = simulate_lower_barrier_euler(lower, inc, 0.1, gamma)[0]

@@ -231,6 +231,39 @@ def test_bad_gamma_exits_one(command, gammas, capsys, tmp_path):
     assert out == "" and "gamma" in err
 
 
+@pytest.mark.parametrize(
+    "argv, name",
+    [
+        (["rate", "--eps", "nan"], "eps"),
+        (["rate", "--eps", "inf"], "eps"),
+        (["interlace", "--margin-scale", "nan", "--samples", "10",
+          "--dt", "0.1"], "margin"),
+        (["simulate", "--drift-cap", "nan", "--dt", "0.1"], "drift_cap"),
+        (["equivalence", "--eta", "nan", "--samples", "10", "--dt", "0.1"],
+         "eta"),
+        (["slope", "--delta", "-1", "--samples", "10", "--dt", "0.1"],
+         "delta"),
+    ],
+    ids=["rate-eps-nan", "rate-eps-inf", "interlace-margin-scale-nan",
+         "simulate-drift-cap-nan", "equivalence-eta-nan",
+         "slope-delta-negative"],
+)
+def test_bad_parameter_exits_one_without_output(argv, name, capsys,
+                                                tmp_path):
+    # NaN fails every positivity check, and no --out file is started
+    if argv[0] == "rate":
+        bundle = tmp_path / "run.csv"
+        code, _, _ = run(["simulate", "--dt", "0.1", "--out", str(bundle)],
+                         capsys)
+        assert code == 0
+        argv = argv + ["--bundle", str(bundle)]
+    out = tmp_path / "out.csv"
+    code, stdout, err = run(argv + ["--out", str(out)], capsys)
+    assert code == 1
+    assert err.startswith("error:") and name in err
+    assert stdout == "" and not out.exists()
+
+
 def test_every_flag_is_read_by_its_handler():
     # a flag the handler never reads is advertised but ignored
     _, registry = _build_parser()

@@ -563,11 +563,8 @@ _FLAT1 = _flat_target(1, TimeGrid(0.0, 1.0, 10))
             batch_size=b),
         lambda b: interlace_event_frequency(
             [16.0], 10, seed=1, dt=0.1, batch_size=b),
-        lambda b: equivalence_experiment(
-            8.0, 0.1, TimeGrid(0.0, 1.0, 10), 10, seed=1, batch_size=b),
     ],
-    ids=["smallball_probability", "ldp_slope", "interlace_event_frequency",
-         "equivalence_experiment"],
+    ids=["smallball_probability", "ldp_slope", "interlace_event_frequency"],
 )
 def test_batch_size_below_one_rejected(call):
     # a batch of 0 would never advance through the replicates

@@ -10,27 +10,27 @@ from whittaker2d import (
     simulate,
 )
 from whittaker2d import noise
-from whittaker2d.noise import IncrementStream, sample_increments
+from whittaker2d.noise import IncrementStream
 
 
 def test_determinism():
     grid = TimeGrid(0.0, 1.0, 100)
-    a = sample_increments(12345, 7, grid, 3)
-    b = sample_increments(12345, 7, grid, 3)
+    a = ensemble_increments(12345, range(7, 8), grid, 3)[0]
+    b = ensemble_increments(12345, range(7, 8), grid, 3)[0]
     np.testing.assert_array_equal(a, b)
 
 
 def test_replicates_differ():
     grid = TimeGrid(0.0, 1.0, 100)
-    a = sample_increments(1, 0, grid, 2)
-    b = sample_increments(1, 1, grid, 2)
+    a = ensemble_increments(1, range(0, 1), grid, 2)[0]
+    b = ensemble_increments(1, range(1, 2), grid, 2)[0]
     assert not np.array_equal(a, b)
 
 
 def test_seeds_differ():
     grid = TimeGrid(0.0, 1.0, 100)
-    a = sample_increments(1, 0, grid, 2)
-    b = sample_increments(2, 0, grid, 2)
+    a = ensemble_increments(1, range(0, 1), grid, 2)[0]
+    b = ensemble_increments(2, range(0, 1), grid, 2)[0]
     assert not np.array_equal(a, b)
 
 
@@ -39,7 +39,7 @@ def test_key_words_outside_64_bits_rejected():
     with pytest.raises(ValueError, match="seed"):
         ensemble_increments(-1, range(2), grid, 1)
     with pytest.raises(ValueError, match="seed"):
-        sample_increments(2**64, 0, grid, 1)
+        ensemble_increments(2**64, range(0, 1), grid, 1)[0]
     with pytest.raises(ValueError, match="replicate"):
         ensemble_increments(0, range(-1, 1), grid, 1)
 
@@ -48,15 +48,17 @@ def test_large_key_words_name_their_own_streams():
     # words above 2**53 must not be rounded onto a neighbour, nor 2**64 - 1
     # onto 0
     grid = TimeGrid(0.0, 1.0, 10)
-    top = sample_increments(2**64 - 1, 0, grid, 1)
-    assert not np.array_equal(top, sample_increments(0, 0, grid, 1))
+    top = ensemble_increments(2**64 - 1, range(0, 1), grid, 1)[0]
     assert not np.array_equal(
-        sample_increments(2**63, 0, grid, 1),
-        sample_increments(2**63 + 1, 0, grid, 1),
+        top, ensemble_increments(0, range(0, 1), grid, 1)[0]
     )
     assert not np.array_equal(
-        sample_increments(0, 2**64 - 1, grid, 1),
-        sample_increments(0, 0, grid, 1),
+        ensemble_increments(2**63, range(0, 1), grid, 1)[0],
+        ensemble_increments(2**63 + 1, range(0, 1), grid, 1)[0],
+    )
+    assert not np.array_equal(
+        ensemble_increments(0, range(2**64 - 1, 2**64), grid, 1)[0],
+        ensemble_increments(0, range(0, 1), grid, 1)[0],
     )
 
 
@@ -131,7 +133,7 @@ def test_ensemble_matches_per_replicate():
     grid = TimeGrid(0.0, 1.0, 20)
     block = ensemble_increments(3, range(5, 8), grid, 2)
     for i, rep in enumerate(range(5, 8)):
-        single = sample_increments(3, rep, grid, 2)
+        single = ensemble_increments(3, range(rep, rep + 1), grid, 2)[0]
         np.testing.assert_array_equal(block[i], single)
 
 
@@ -149,8 +151,8 @@ def test_marginal_moments():
 def test_cross_replicate_independence():
     # correlation between replicate streams should be noise-level small
     grid = TimeGrid(0.0, 1.0, 1000)
-    a = sample_increments(77, 0, grid, 1)[0]
-    b = sample_increments(77, 1, grid, 1)[0]
+    a = ensemble_increments(77, range(0, 1), grid, 1)[0, 0]
+    b = ensemble_increments(77, range(1, 2), grid, 1)[0, 0]
     corr = np.corrcoef(a, b)[0, 1]
     assert abs(corr) < 4.0 / np.sqrt(grid.steps)
 

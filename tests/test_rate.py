@@ -13,14 +13,10 @@ from whittaker2d import (
     SamplePath,
     TimeGrid,
     TriangularConfiguration,
-    TriIndex,
     brute_force_local_rate,
     classify,
     default_coincidence_eps,
-    local_rate_lower,
-    local_rate_upper,
     particle_rate,
-    schilder_rate,
     total_rate,
 )
 
@@ -101,38 +97,40 @@ def test_lower_free_ascent_costs_half():
     g = _grid(1000)
     phi = _path(g, lambda t: t)
     lower = SamplePath.constant(g, 0.0)
-    assert local_rate_lower(phi, lower, 1e-6) == pytest.approx(0.5, rel=1e-9)
+    assert particle_rate(phi, None, lower, 1e-6) == pytest.approx(
+        0.5, rel=1e-9
+    )
 
 
 def test_lower_glued_rising_is_free():
     g = _grid(1000)
     phi = _path(g, lambda t: t)
-    assert local_rate_lower(phi, phi, 1e-6) == 0.0
+    assert particle_rate(phi, None, phi, 1e-6) == 0.0
 
 
 def test_lower_glued_falling_costs_half():
     g = _grid(1000)
     phi = _path(g, lambda t: -t)
-    assert local_rate_lower(phi, phi, 1e-6) == pytest.approx(0.5, rel=1e-9)
+    assert particle_rate(phi, None, phi, 1e-6) == pytest.approx(0.5, rel=1e-9)
 
 
 def test_upper_glued_falling_is_free():
     g = _grid(1000)
     phi = _path(g, lambda t: -t)
-    assert local_rate_upper(phi, phi, 1e-6) == 0.0
+    assert particle_rate(phi, phi, None, 1e-6) == 0.0
 
 
 def test_upper_glued_rising_costs_half():
     g = _grid(1000)
     phi = _path(g, lambda t: t)
-    assert local_rate_upper(phi, phi, 1e-6) == pytest.approx(0.5, rel=1e-9)
+    assert particle_rate(phi, phi, None, 1e-6) == pytest.approx(0.5, rel=1e-9)
 
 
 def test_crossing_is_infinite():
     g = _grid()
     phi = SamplePath.constant(g, -1.0)
     lower = SamplePath.constant(g, 0.0)
-    assert local_rate_lower(phi, lower, 1e-3) == np.inf
+    assert particle_rate(phi, None, lower, 1e-3) == np.inf
 
 
 def test_time_reversal_duality():
@@ -143,9 +141,9 @@ def test_time_reversal_duality():
         low_v = np.minimum.accumulate(phi_v) - rng.uniform(0, 0.1)
         phi = SamplePath(g, phi_v)
         low = SamplePath(g, low_v)
-        a = local_rate_lower(phi, low, 1e-6)
-        b = local_rate_upper(
-            SamplePath(g, -phi_v), SamplePath(g, -low_v), 1e-6
+        a = particle_rate(phi, None, low, 1e-6)
+        b = particle_rate(
+            SamplePath(g, -phi_v), SamplePath(g, -low_v), None, 1e-6
         )
         assert a == pytest.approx(b, rel=1e-12)
 
@@ -154,13 +152,13 @@ def test_convention_flag_swaps_one_sided_costs():
     g = _grid(1000)
     rising = _path(g, lambda t: t)
     # lemma: a rising path glued to its lower barrier is free
-    assert local_rate_lower(rising, rising, 1e-6, LEMMA) == 0.0
+    assert particle_rate(rising, None, rising, 1e-6, convention=LEMMA) == 0.0
     # the alternate reading charges the ascent instead
-    assert local_rate_lower(rising, rising, 1e-6, ALTERNATE) == pytest.approx(
-        0.5, rel=1e-9
-    )
+    assert particle_rate(
+        rising, None, rising, 1e-6, convention=ALTERNATE
+    ) == pytest.approx(0.5, rel=1e-9)
     with pytest.raises(ValueError):
-        local_rate_lower(rising, rising, 1e-6, "other")
+        particle_rate(rising, None, rising, 1e-6, convention="other")
 
 
 # ---------------------------------------------------------------------------
@@ -169,11 +167,12 @@ def test_convention_flag_swaps_one_sided_costs():
 
 def test_schilder_examples():
     g = _grid(1000)
-    assert schilder_rate(SamplePath.constant(g, 0.3), 0.3) == 0.0
-    assert schilder_rate(_path(g, lambda t: t), 0.0) == pytest.approx(
+    flat, line = SamplePath.constant(g, 0.3), _path(g, lambda t: t)
+    assert particle_rate(flat, None, None, EPS, 0.3) == 0.0
+    assert particle_rate(line, None, None, EPS, 0.0) == pytest.approx(
         0.5, rel=1e-9
     )
-    assert schilder_rate(_path(g, lambda t: t), 0.5) == np.inf
+    assert particle_rate(line, None, None, EPS, 0.5) == np.inf
 
 
 def test_particle_rate_no_barriers_is_schilder():
@@ -182,7 +181,9 @@ def test_particle_rate_no_barriers_is_schilder():
     assert particle_rate(phi, None, None, 1e-6, 0.0) == pytest.approx(
         0.49 / 2, rel=1e-9
     )
-    assert particle_rate(phi, None, None, 1e-6, 0.0) == schilder_rate(phi, 0.0)
+    assert particle_rate(phi, None, None, 1e-6, 0.0) == particle_rate(
+        phi, None, None, EPS, 0.0
+    )
 
 
 def test_particle_rate_initial_mismatch():
@@ -200,7 +201,7 @@ def test_schilder_domination():
         low_v = np.minimum.accumulate(phi_v)
         phi = SamplePath(g, phi_v)
         r = particle_rate(phi, None, SamplePath(g, low_v), 1e-6, 0.0)
-        assert r <= schilder_rate(phi, 0.0) + 1e-12
+        assert r <= particle_rate(phi, None, None, EPS, 0.0) + 1e-12
 
 
 def test_total_rate_constant_bundle_is_zero():
@@ -252,6 +253,19 @@ def test_total_rate_crossing_sentinel():
         total_rate(bundle, cfg, 1e-4, "other")
     with pytest.raises(ValueError):
         total_rate(bundle, cfg, -1e-4)
+
+
+@pytest.mark.parametrize("eps", [np.nan, np.inf])
+def test_total_rate_rejects_non_finite_eps(eps):
+    # under a NaN eps no cell is glued or crossing, under an infinite one
+    # every cell is glued: either way the crossing bundle would score finite
+    g = _grid(100)
+    init = TriangularConfiguration.zeros(2)
+    end = TriangularConfiguration(2, np.array([-0.5, 0.5, 0.5]))
+    cfg = ModelConfig(N=2, gamma=8.0, initial=init)
+    bundle = PathBundle.linear(2, g, init, end)
+    with pytest.raises(ValueError, match="eps"):
+        total_rate(bundle, cfg, eps)
 
 
 def test_total_rate_initial_mismatch_sentinel():
@@ -323,7 +337,7 @@ def test_oracle_matches_direct_rate_mixed_patterns():
         from whittaker2d import reflect_above
 
         phi = reflect_above(driver, lower, float(bvals[0]) + 0.1).path
-        direct = local_rate_lower(phi, lower, 1e-9)
+        direct = particle_rate(phi, None, lower, 1e-9)
         oracle = brute_force_local_rate(phi, lower, 1e-9)
         assert oracle == pytest.approx(direct, rel=1e-3, abs=1e-6)
 
@@ -351,5 +365,5 @@ def test_rates_are_nonnegative(seed):
     g = _grid(32)
     phi_v = np.cumsum(rng.normal(0, 0.2, g.npoints))
     low_v = phi_v - np.abs(rng.normal(0, 0.2, g.npoints))
-    r = local_rate_lower(SamplePath(g, phi_v), SamplePath(g, low_v), 1e-6)
+    r = particle_rate(SamplePath(g, phi_v), None, SamplePath(g, low_v), 1e-6)
     assert r >= 0.0

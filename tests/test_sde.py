@@ -14,9 +14,7 @@ from whittaker2d import (
     TruncationLevels,
     default_drift_cap,
     ensemble_scan,
-    equivalence_gap,
     escape_probability_bound,
-    sample_increments,
     simulate,
     simulate_lower_barrier_euler,
     simulate_two_barrier,
@@ -40,7 +38,7 @@ def test_n1_is_exact_random_walk():
     # a single particle has no neighbors: the step is pure noise
     grid = TimeGrid(0.0, 1.0, 500)
     gamma = 8.0
-    noise = sample_increments(1, 0, grid, 1)
+    noise = ensemble_increments(1, range(0, 1), grid, 1)[0]
     res = simulate(_config(1, gamma), grid, noise)
     expect = np.concatenate(
         ([0.0], np.cumsum(noise[0] / np.sqrt(gamma)))
@@ -52,7 +50,7 @@ def test_n1_is_exact_random_walk():
 def test_level_drift_shifts_n1():
     grid = TimeGrid(0.0, 1.0, 100)
     gamma = 4.0
-    noise = sample_increments(2, 0, grid, 1)
+    noise = ensemble_increments(2, range(0, 1), grid, 1)[0]
     cfg = _config(1, gamma, drifts=np.array([0.7]))
     res = simulate(cfg, grid, noise)
     free = simulate(_config(1, gamma), grid, noise)
@@ -80,7 +78,7 @@ def test_mirror_symmetry():
     # negating noise and reversing each level maps the system onto itself
     grid = TimeGrid(0.0, 1.0, 400)
     gamma = 8.0
-    noise = sample_increments(3, 0, grid, 3)
+    noise = ensemble_increments(3, range(0, 1), grid, 3)[0]
     res = simulate(_config(2, gamma), grid, noise)
     # mirrored stream order: (1,1)->(1,1), (2,1)<->(2,2)
     perm = [0, 2, 1]
@@ -93,7 +91,7 @@ def test_mirror_symmetry():
 
 def test_truncation_inactive_is_bitwise_identical():
     grid = TimeGrid(0.0, 1.0, 200)
-    noise = sample_increments(4, 0, grid, 3)
+    noise = ensemble_increments(4, range(0, 1), grid, 3)[0]
     cfg = _config(2, 8.0)
     plain = simulate(cfg, grid, noise)
     trunc = simulate(cfg, grid, noise, TruncationLevels.uniform(2, 1e6))
@@ -146,7 +144,7 @@ def test_clamp_events_counted():
 def test_tilde0_far_barrier_is_nearly_free():
     gamma = 4.0
     grid = TimeGrid(0.0, 1.0, 1000)
-    noise = sample_increments(6, 0, grid, 1)
+    noise = ensemble_increments(6, range(0, 1), grid, 1)[0]
     x = np.concatenate(([0.0], np.cumsum(noise[0]))) / np.sqrt(gamma)
     barrier = SamplePath.constant(grid, -10.0)
     out = solve_edge_exact(barrier, x, 0.0, gamma)
@@ -178,7 +176,7 @@ def test_edge_exact_dominates_free_path():
     # the barrier only ever pushes up
     gamma = 8.0
     grid = TimeGrid(0.0, 1.0, 500)
-    noise = sample_increments(8, 0, grid, 1)
+    noise = ensemble_increments(8, range(0, 1), grid, 1)[0]
     x = np.concatenate(([0.0], np.cumsum(noise[0]))) / np.sqrt(gamma)
     barrier = SamplePath.constant(grid, 0.0)
     out = solve_edge_exact(barrier, x, 0.0, gamma)
@@ -303,13 +301,9 @@ def test_scan_matches_reference_loop(topology, barriers):
 
 def test_equivalence_gap_budget_value():
     grid = TimeGrid(0.0, 1.0, 10)
-    a = SamplePath.constant(grid, 0.0)
-    b = SamplePath.constant(grid, 1e-5)
-    rep = equivalence_gap(a, b, 32.0, 0.5)
-    assert rep.budget == pytest.approx(np.exp(-8.0), rel=1e-12)
-    assert rep.budget == pytest.approx(3.3546e-4, rel=1e-4)
-    assert rep.gap == pytest.approx(1e-5)
-    assert rep.within_budget
+    budget = sde._gap_budget(32.0, 0.5, grid)
+    assert budget == pytest.approx(np.exp(-8.0), rel=1e-12)
+    assert budget == pytest.approx(3.3546e-4, rel=1e-4)
 
 
 def test_escape_bound_arithmetic():
