@@ -129,7 +129,8 @@ def _checked_gammas(gammas, batch_size: int) -> np.ndarray:
 # 99 MB in four of 5000; on one core its ten tiles, run in turn, took
 # 0.62-0.77 s against 0.71-0.85 s.  The criterion-7 shape (2000 replicates,
 # 2 gammas, 4 rows) went from 0.58 to 0.40 s in two tiles, while
-# interlace-long's 100 replicates, 800 values per call, stay inline.
+# interlace-long's 100 replicates, 800 values per call, stay inline (its
+# scan draws each next noise window on the second core, see sde).
 _TILE_BYTES = 5 << 20
 _MIN_TILE_WIDTH = 6000
 _pool = None  # the tile pool, created on first use and dropped by a fork

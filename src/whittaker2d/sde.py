@@ -9,7 +9,10 @@ Interactions are one-directional (level n reads only level n-1), so the
 system is triangular and explicit stepping matches the model structure.
 One stepper, ensemble_scan, runs every such system from its Topology: the
 triangle, the four-particle sub-system, or one particle between fixed
-barrier paths.
+barrier paths.  It draws streamed noise a window at a time; a path longer
+than one window is drawn into a ring of two half windows, the next filled
+by one background draw thread while the current one is stepped, so the
+draw runs on a second core and the two halves hold what one window would.
 
 The exponential drift is stiff; the Euler stepper tames it by clamping the
 net drift to +-D with D = exp(0.25 * gamma) by default, and reports every
@@ -20,6 +23,9 @@ finite at any gamma.
 
 from __future__ import annotations
 
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,12 +57,18 @@ __all__ = [
 
 _EXP_MAX = 700.0  # exp argument ceiling, just under float64 overflow
 _CHUNK_BYTES = 1 << 19  # size of each per-chunk buffer of ensemble_scan
-# ensemble_scan draws an IncrementStream in windows of _WINDOW steps, fewer
-# if that would take more than _WINDOW_BYTES, but never fewer than
-# _MIN_WINDOW: every window costs each replicate one more draw call, and a
-# replicate split at all opens a generator of its own, which a path of a
-# few hundred steps would not repay however wide its batch
+# ensemble_scan holds an IncrementStream's draws in _WINDOW steps (in whole
+# chunks), fewer if that would take more than _WINDOW_BYTES, but never
+# fewer than _MIN_WINDOW: every window costs each replicate one more draw
+# call, and a replicate split at all opens a generator of its own, which a
+# path of a few hundred steps would not repay however wide its batch.  A
+# path that fits is drawn whole; a longer one in two buffers of half the
+# chunks each, one stepped while the draw thread fills the other, so the
+# pair holds no more than one window: a second full window cost the
+# four-particle batch of 100 replicates at M = 10,000 14% of its peak RSS
 _WINDOW, _MIN_WINDOW, _WINDOW_BYTES = 2048, 1024, 1 << 26
+_draw_pool = None  # the draw thread, started on first use, dropped by a fork
+_draw_lock = threading.Lock()
 
 
 class NonFiniteError(RuntimeError):
@@ -116,6 +128,37 @@ class SimulationResult:
 # the tamed Euler stepper
 
 
+def _drawer() -> ThreadPoolExecutor:
+    # one thread for every scan: Philox fills release the GIL, so it draws
+    # on a core the stepping thread leaves idle
+    global _draw_pool
+    with _draw_lock:
+        if _draw_pool is None:
+            _draw_pool = ThreadPoolExecutor(max_workers=1)
+        return _draw_pool
+
+
+def _forget_drawer():
+    # a forked child inherits the executor but not its thread, so a draw
+    # submitted to it would never run
+    global _draw_pool, _draw_lock
+    _draw_pool, _draw_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_drawer)
+
+
+def _window(R, W, P):
+    # an (R, W, P) buffer whose replicates do not start an even number of
+    # 64-byte cache lines apart: a chunk reads a few steps of every
+    # replicate, and rows a power of two apart (W = 1024 or 2048 at P = 4)
+    # map to a few cache sets, which evicts what the prefetcher brings for
+    # the next chunk; one more line per row spreads them over every set
+    n = W * P
+    return np.empty((R, n + 8 * (n % 16 == 0)))[:, :n].reshape(R, W, P)
+
+
 def ensemble_scan(
     topology: Topology,
     start,
@@ -132,11 +175,14 @@ def ensemble_scan(
     one gamma or at several.
 
     noise holds the raw Normal(0, dt) draws for the P moving rows, shape
-    (R, P, M): an array, or an IncrementStream, which is drawn into a
-    step-major (R, W, P) window of W = 2048 steps, or as few as 1024 to
-    keep a window under 64 MB, so that a longer path's whole array is
-    never held; both step the same values.  start holds the P start
-    values.  barriers,
+    (R, P, M): an array, or an IncrementStream, whose draws are held in
+    step-major windows of at most W = 2048 steps, or as few as 1024 to
+    keep them under 64 MB, so that a longer path's whole array is never
+    held; both step the same values.  A path of at most W steps is drawn
+    whole; a longer one in windows of W/2 steps, each drawn on a
+    background thread while the one before it is stepped, so the two
+    buffers hold W steps together.  No draw outlives the call.  start
+    holds the P start values.  barriers,
     shape (F, M+1), are the paths of the topology's last F rows, which are
     fixed: they are written into the state at every grid index instead of
     being stepped.  drifts (the constant a of each moving row) and
@@ -180,73 +226,98 @@ def ensemble_scan(
     lo = np.concatenate([pushed_up, upper[pushed_dn]])
     E = n_up + n_dn
     g_row = np.tile(np.repeat(gam, R), (E, 1))
+    ends = np.concatenate([hi, lo])
     # row E of push stays 0: the push a row gets from a missing barrier
     up_edge = np.full(P, E)
     up_edge[pushed_up] = np.arange(n_up)
     dn_edge = np.full(P, E)
     dn_edge[pushed_dn] = n_up + np.arange(n_dn)
+    pushes = np.concatenate([up_edge, dn_edge])
     base = None if drifts is None else np.reshape(drifts, (P, 1))
     if truncation is not None:
         lim = np.concatenate([truncation, np.full(F, np.inf)])[:, None]
+    # 0-d operands: a Python float costs each ufunc call a conversion
+    exp_max, dt = np.array(_EXP_MAX), np.array(dt, dtype=float)
     K = max(1, min(M, _CHUNK_BYTES // (8 * (P + F) * max(GR, 1))))
     streamed = isinstance(noise, IncrementStream)
     if streamed:
         # drawn in windows of whole chunks, so that no chunk straddles two
         steps = _WINDOW_BYTES // (8 * max(R * P, 1))
-        steps = min(_WINDOW, max(_MIN_WINDOW, steps))
-        W = min(M, -(-steps // K) * K)
-        window = np.empty((R, W, P))
+        chunks = -(-min(_WINDOW, max(_MIN_WINDOW, steps)) // K)
+        ring = 1 if M <= chunks * K or chunks == 1 else 2
+        W = min(M, chunks // ring * K)
+        windows = [_window(R, W, P) for _ in range(ring)]
     else:
-        W, window = M, noise.transpose(0, 2, 1)
+        W, windows = M, [noise.transpose(0, 2, 1)]
     block, dW = np.empty((K + 1, P + F, GR)), np.empty((K, P, GR))
     clamped = np.empty((K, P, GR), dtype=bool)
-    gap, far, push = np.empty((E, GR)), np.empty((E, GR)), np.zeros((E + 1, GR))
-    drift, down, tamed = (np.empty((P, GR)) for _ in range(3))
+    both, push = np.empty((2 * E, GR)), np.zeros((E + 1, GR))
+    gap, far = both[:E], both[E:]
+    rows = np.empty((2 * P, GR))
+    drift, down = rows[:P], rows[P:]
+    tamed = np.empty((P, GR))
     clamps = np.zeros(GR, dtype=int)
     block[0, :P] = np.reshape(start, (P, 1))
     if observe is not None:
         observe(0, block[:1, :P])
-    for s in range(0, M, K):
-        k = min(K, M - s)
-        at = s % W  # the chunk's first step within its window
-        if streamed and at == 0:
-            noise.fill(window[:, : min(W, M - s)])
-        np.divide(window[:, at : at + k].transpose(1, 2, 0)[:, :, None], sqg,
-                  out=dW[:k].reshape(k, P, G, R))
-        if F:
-            block[: k + 1, P:] = barriers[:, s : s + k + 1].T[:, :, None]
-        # a state gone non-finite stays so and raises after the chunk, so
-        # the inf - inf or overflow it meets on the way is not warned about
-        with np.errstate(invalid="ignore", over="ignore"):
-            for j in range(k):
-                v = block[j] if truncation is None else np.clip(
-                    block[j], -lim, lim)
-                # the take method skips np.take's Python-level wrapper
-                v.take(hi, 0, gap, "clip")
-                v.take(lo, 0, far, "clip")
-                np.subtract(gap, far, out=gap)
-                np.multiply(gap, g_row, out=gap)
-                np.minimum(gap, _EXP_MAX, out=gap)
-                np.exp(gap, out=push[:E])
-                push.take(up_edge, 0, drift, "clip")
-                if base is not None:
-                    np.add(base, drift, out=drift)
-                push.take(dn_edge, 0, down, "clip")
-                np.subtract(drift, down, out=drift)
-                np.maximum(drift, lo_cap, out=tamed)
-                np.minimum(tamed, hi_cap, out=tamed)
-                np.not_equal(tamed, drift, out=clamped[j])
-                np.multiply(tamed, dt, out=tamed)
-                np.add(block[j, :P], dW[j], out=block[j + 1, :P])
-                block[j + 1, :P] += tamed
-        states = block[1 : k + 1, :P]
-        if not np.isfinite(states[-1]).all():
-            j, _, p = np.argwhere(~np.isfinite(states).transpose(0, 2, 1))[0]
-            raise NonFiniteError(step=s + int(j) + 1, particle=int(p))
-        clamps += np.count_nonzero(clamped[:k], axis=(0, 1))
-        if observe is not None:
-            observe(s + 1, states)
-        block[0] = block[k]
+    pending = None  # the draw of the next window, while one is running
+    try:
+        for s in range(0, M, K):
+            k = min(K, M - s)
+            at = s % W  # the chunk's first step within its window
+            window = windows[s // W % len(windows)]
+            if streamed and at == 0:
+                if pending is None:
+                    noise.fill(window[:, : min(W, M - s)])
+                else:
+                    pending.result()
+                    pending = None
+                if len(windows) > 1 and s + W < M:
+                    ahead = windows[(s // W + 1) % 2][:, : min(W, M - s - W)]
+                    pending = _drawer().submit(noise.fill, ahead)
+            np.divide(window[:, at : at + k].transpose(1, 2, 0)[:, :, None],
+                      sqg, out=dW[:k].reshape(k, P, G, R))
+            if F:
+                block[: k + 1, P:] = barriers[:, s : s + k + 1].T[:, :, None]
+            # a state gone non-finite stays so and raises after the chunk,
+            # so the inf - inf or overflow it meets on the way is not warned
+            # about
+            with np.errstate(invalid="ignore", over="ignore"):
+                for j in range(k):
+                    v = block[j] if truncation is None else np.clip(
+                        block[j], -lim, lim)
+                    # the take method skips np.take's Python-level wrapper;
+                    # one call gathers both ends of every edge
+                    v.take(ends, 0, both, "clip")
+                    np.subtract(gap, far, out=gap)
+                    np.multiply(gap, g_row, out=gap)
+                    np.minimum(gap, exp_max, out=gap)
+                    np.exp(gap, out=push[:E])
+                    # and one call both pushes of every row
+                    push.take(pushes, 0, rows, "clip")
+                    if base is not None:
+                        np.add(base, drift, out=drift)
+                    np.subtract(drift, down, out=drift)
+                    np.maximum(drift, lo_cap, out=tamed)
+                    np.minimum(tamed, hi_cap, out=tamed)
+                    np.not_equal(tamed, drift, out=clamped[j])
+                    np.multiply(tamed, dt, out=tamed)
+                    np.add(block[j, :P], dW[j], out=block[j + 1, :P])
+                    block[j + 1, :P] += tamed
+            states = block[1 : k + 1, :P]
+            if not np.isfinite(states[-1]).all():
+                j, _, p = np.argwhere(
+                    ~np.isfinite(states).transpose(0, 2, 1))[0]
+                raise NonFiniteError(step=s + int(j) + 1, particle=int(p))
+            clamps += np.count_nonzero(clamped[:k], axis=(0, 1))
+            if observe is not None:
+                observe(s + 1, states)
+            block[0] = block[k]
+    finally:
+        if pending is not None:
+            # the draw ends before the call does; the error raised is the
+            # one already on its way
+            pending.exception()
     return clamps.reshape(gam.shape + (R,))
 
 

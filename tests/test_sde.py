@@ -1,3 +1,8 @@
+import os
+import signal
+import sys
+import threading
+import time
 import warnings
 
 import numpy as np
@@ -363,18 +368,20 @@ def _scan_blocks(topology, inc, gamma, cap, **kw):
 @pytest.mark.parametrize("gammas", [[2.0], [2.0, 64.0]], ids=["G1", "G2"])
 @pytest.mark.parametrize(
     "steps, room, windows",
-    [(500, None, [500]), (2048, None, [2048]), (5000, None, [2048, 2048, 904]),
-     (1000, 100, [1000]), (2500, 100, [1024, 1024, 452])],
+    [(500, None, [500]), (2048, None, [2048]),
+     (5000, None, [1024, 1024, 1024, 1024, 904]),
+     (1000, 100, [1000]), (2500, 100, [512, 512, 512, 512, 452])],
     ids=["short", "one-window", "ragged", "wide-short", "wide-ragged"],
 )
 def test_streamed_scan_matches_materialized(
     monkeypatch, gammas, steps, room, windows
 ):
     # 64 four-particle replicates step in chunks of 256 (G=1) or 128 (G=2)
-    # steps and draw windows of 2048 steps, so 5000 steps are a multiple of
-    # neither; the cap of 0.5 clamps.  A byte bound with room for only 100
-    # steps of this batch stands for a wide batch: a path of 1000 steps is
-    # still drawn whole, and a longer one in windows of 1024 steps
+    # steps; a path of up to 2048 steps is drawn whole and a longer one in
+    # windows of 1024, so 5000 steps are a multiple of neither; the cap of
+    # 0.5 clamps.  A byte bound with room for only 100 steps of this batch
+    # stands for a wide batch: a path of 1000 steps is still drawn whole,
+    # and a longer one in windows of 512 steps
     R, grid = 64, TimeGrid(0.0, 1.0, steps)
     if room is not None:
         monkeypatch.setattr(sde, "_WINDOW_BYTES", 8 * R * 4 * room)
@@ -391,6 +398,146 @@ def test_streamed_scan_matches_materialized(
     assert got.tobytes() == expect.tobytes()
     assert got_clamps.tobytes() == clamps.tobytes()
     assert clamps.sum() > 0
+
+
+def _recorded(stream, poison=None, slow=None):
+    """Replaces stream.fill by one that logs each window's shape, the thread
+    that drew it and whether the draw has returned.  poison = (replicate,
+    step, particle) is drawn as +inf; the draw of window number slow sleeps
+    first, so that it is still running when the window before it ends."""
+    log, fill = [], stream.fill
+
+    def recorded(out):
+        entry = {"shape": out.shape, "thread": threading.get_ident(),
+                 "done": False}
+        at = sum(e["shape"][1] for e in log)
+        log.append(entry)
+        try:
+            if len(log) == slow:
+                time.sleep(0.3)
+            fill(out)
+            if poison is not None and at <= poison[1] < at + out.shape[1]:
+                out[poison[0], poison[1] - at, poison[2]] = np.inf
+            return out
+        finally:
+            entry["done"] = True
+
+    stream.fill = recorded
+    return log
+
+
+def test_raise_while_a_draw_is_pending():
+    # windows of 1024 steps: the +inf is in window 2, and the draw of
+    # window 3 is still running when the scan raises
+    R, grid, (rep, step, particle) = 64, TimeGrid(0.0, 1.0, 5000), (5, 1500, 2)
+    stream = IncrementStream(30, range(R), grid, 4)
+    log = _recorded(stream, poison=(rep, step, particle), slow=3)
+    inc = ensemble_increments(30, range(R), grid, 4)
+    inc[rep, particle, step] = np.inf
+    with pytest.raises(NonFiniteError) as want:
+        ensemble_scan(FOUR_PARTICLE, np.zeros(4), inc, 2.0, 0.01, 0.5)
+    with pytest.raises(NonFiniteError) as got:
+        ensemble_scan(FOUR_PARTICLE, np.zeros(4), stream, 2.0, 0.01, 0.5)
+    assert (got.value.step, got.value.particle) == (
+        want.value.step, want.value.particle)
+    assert [e["shape"][1] for e in log] == [1024, 1024, 1024]
+    assert all(e["done"] for e in log)
+    # the first window is drawn in place, the next ones on the draw thread
+    assert log[0]["thread"] == threading.get_ident() != log[2]["thread"]
+
+
+@pytest.mark.parametrize(
+    "R, steps, gammas, room",
+    [(100, 10_000, [16.0, 64.0], None), (64, 5000, [2.0], None),
+     (64, 2048, [2.0], None), (64, 2500, [2.0, 64.0], 100),
+     (64, 1000, [2.0, 64.0], 100)],
+    ids=["interlace-long", "ragged", "whole", "wide-ragged", "wide-whole"],
+)
+def test_two_windows_hold_no_more_than_one(monkeypatch, R, steps, gammas,
+                                           room):
+    # the two buffers together hold at most the one window of W steps
+    # drawn before the ring: 2048 steps, or as many as fit 64 MB but at
+    # least 1024, in whole chunks; a path that fits is drawn whole
+    P, grid = 4, TimeGrid(0.0, 1.0, steps)
+    if room is not None:
+        monkeypatch.setattr(sde, "_WINDOW_BYTES", 8 * R * P * room)
+    stream = IncrementStream(30, range(R), grid, P)
+    log = _recorded(stream)
+    starts = []
+    ensemble_scan(FOUR_PARTICLE, np.zeros(P), stream, gammas, 1e-4, None,
+                  observe=lambda i0, block: starts.append(i0))
+    chunk = starts[2] - starts[1]
+    window = min(2048, max(1024, sde._WINDOW_BYTES // (8 * R * P)))
+    budget = -(-window // chunk) * chunk
+    drawn = [e["shape"][1] for e in log]
+    assert all(e["shape"] == (R, k, P) for e, k in zip(log, drawn))
+    assert sum(drawn) == steps
+    if steps <= budget:
+        assert drawn == [steps]
+    else:
+        assert max(a + b for a, b in zip(drawn, drawn[1:])) <= budget
+    assert all(e["done"] for e in log)
+
+
+def test_concurrent_streamed_scans_share_the_draw_thread():
+    # more scans than cores, each of three windows, queue their draws on
+    # the one draw thread; every one steps what it steps alone
+    grid, switch = TimeGrid(0.0, 1.0, 3000), sys.getswitchinterval()
+
+    def run(seed):
+        stream = IncrementStream(seed, range(16), grid, 4)
+        got, clamps, _ = _scan_blocks(FOUR_PARTICLE, stream, [2.0, 64.0], 0.5)
+        return got.tobytes() + clamps.tobytes()
+
+    alone = [run(seed) for seed in range(6)]
+    together = [None] * 6
+
+    def worker(i):
+        together[i] = run(i)
+
+    threads = [threading.Thread(target=worker, args=(i,)) for i in range(6)]
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(switch)
+    assert not any(t.is_alive() for t in threads)
+    assert together == alone
+
+
+def test_streamed_scan_in_a_forked_child():
+    # the child inherits the draw thread's executor but not its thread
+    R, grid = 64, TimeGrid(0.0, 1.0, 3000)
+
+    def run():
+        stream = IncrementStream(30, range(R), grid, 4)
+        got, clamps, _ = _scan_blocks(FOUR_PARTICLE, stream, [2.0, 64.0], 0.5)
+        return got.tobytes() + clamps.tobytes()
+
+    once = run()
+    assert sde._draw_pool is not None
+    with warnings.catch_warnings():
+        # forking a process that runs threads warns on some Pythons
+        warnings.simplefilter("ignore", DeprecationWarning)
+        pid = os.fork()
+    if pid == 0:
+        code = 1
+        try:
+            signal.alarm(60)
+            code = 0 if run() == once else 2
+        finally:
+            os._exit(code)
+    deadline = time.monotonic() + 90
+    while (done := os.waitpid(pid, os.WNOHANG))[0] == 0:
+        if time.monotonic() > deadline:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            pytest.fail("forked child did not finish")
+        time.sleep(0.05)
+    assert os.waitstatus_to_exitcode(done[1]) == 0
 
 
 _T = np.linspace(0.0, 2.0, 401)
