@@ -36,7 +36,9 @@ from .noise import IncrementStream, ensemble_increments
 from .rate import default_coincidence_eps, total_rate
 from .sde import (
     NonFiniteError,
+    _cores,
     _gap_budget,
+    _tile_thread,
     ensemble_scan,
     simulate_lower_barrier_euler,
     simulate_two_barrier,
@@ -129,20 +131,13 @@ def _checked_gammas(gammas, batch_size: int) -> np.ndarray:
 # 99 MB in four of 5000; on one core its ten tiles, run in turn, took
 # 0.62-0.77 s against 0.71-0.85 s.  The criterion-7 shape (2000 replicates,
 # 2 gammas, 4 rows) went from 0.58 to 0.40 s in two tiles, while
-# interlace-long's 100 replicates, 800 values per call, stay inline (its
-# scan draws each next noise window on the second core, see sde).
+# interlace-long's 100 replicates, 800 values per call, stay inline.  An
+# inline scan draws each next noise window on an idle core (see sde); a
+# tile's scan draws in place, as at one tile per core none is idle.
 _TILE_BYTES = 5 << 20
 _MIN_TILE_WIDTH = 6000
 _pool = None  # the tile pool, created on first use and dropped by a fork
 _pool_lock = threading.Lock()
-
-
-def _cores() -> int:
-    """Cores this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no sched_getaffinity on this platform
-        return os.cpu_count() or 1
 
 
 def _tile_pool() -> ThreadPoolExecutor:
@@ -185,7 +180,12 @@ def _tiled(score, reps, nbytes, width):
     workers = min(n, cores)
 
     def run(w):
-        return [score(t) for t in tiles[w::workers]]
+        # every core steps a tile, so the scans draw their noise in place
+        _tile_thread.on = True
+        try:
+            return [score(t) for t in tiles[w::workers]]
+        finally:
+            _tile_thread.on = False
 
     parts = [None] * n
     try:

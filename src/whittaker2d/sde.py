@@ -9,10 +9,11 @@ Interactions are one-directional (level n reads only level n-1), so the
 system is triangular and explicit stepping matches the model structure.
 One stepper, ensemble_scan, runs every such system from its Topology: the
 triangle, the four-particle sub-system, or one particle between fixed
-barrier paths.  It draws streamed noise a window at a time; a path longer
-than one window is drawn into a ring of two half windows, the next filled
-by one background draw thread while the current one is stepped, so the
-draw runs on a second core and the two halves hold what one window would.
+barrier paths.  It draws streamed noise a window at a time.  Where a core
+is idle, a path longer than one window is drawn into a ring of two half
+windows, the next filled by a draw thread of the call's own while the
+current one is stepped, so the draw runs on that core and the two halves
+hold what one window would.
 
 The exponential drift is stiff; the Euler stepper tames it by clamping the
 net drift to +-D with D = exp(0.25 * gamma) by default, and reports every
@@ -62,13 +63,16 @@ _CHUNK_BYTES = 1 << 19  # size of each per-chunk buffer of ensemble_scan
 # fewer than _MIN_WINDOW: every window costs each replicate one more draw
 # call, and a replicate split at all opens a generator of its own, which a
 # path of a few hundred steps would not repay however wide its batch.  A
-# path that fits is drawn whole; a longer one in two buffers of half the
-# chunks each, one stepped while the draw thread fills the other, so the
-# pair holds no more than one window: a second full window cost the
+# path that fits is drawn whole.  A longer one is drawn in place, window by
+# window, unless a core is idle: then in two buffers of half the chunks
+# each, one stepped while the draw thread fills the other, so the pair
+# holds no more than one window: a second full window cost the
 # four-particle batch of 100 replicates at M = 10,000 14% of its peak RSS
 _WINDOW, _MIN_WINDOW, _WINDOW_BYTES = 2048, 1024, 1 << 26
-_draw_pool = None  # the draw thread, started on first use, dropped by a fork
-_draw_lock = threading.Lock()
+# .on is set in a thread that steps one of several tiles spread over every
+# core (mc._tiled): no core is idle to draw on, so its scans draw each
+# window in place, in one buffer of the whole window
+_tile_thread = threading.local()
 
 
 class NonFiniteError(RuntimeError):
@@ -128,35 +132,12 @@ class SimulationResult:
 # the tamed Euler stepper
 
 
-def _drawer() -> ThreadPoolExecutor:
-    # one thread for every scan: Philox fills release the GIL, so it draws
-    # on a core the stepping thread leaves idle
-    global _draw_pool
-    with _draw_lock:
-        if _draw_pool is None:
-            _draw_pool = ThreadPoolExecutor(max_workers=1)
-        return _draw_pool
-
-
-def _forget_drawer():
-    # a forked child inherits the executor but not its thread, so a draw
-    # submitted to it would never run
-    global _draw_pool, _draw_lock
-    _draw_pool, _draw_lock = None, threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_drawer)
-
-
-def _window(R, W, P):
-    # an (R, W, P) buffer whose replicates do not start an even number of
-    # 64-byte cache lines apart: a chunk reads a few steps of every
-    # replicate, and rows a power of two apart (W = 1024 or 2048 at P = 4)
-    # map to a few cache sets, which evicts what the prefetcher brings for
-    # the next chunk; one more line per row spreads them over every set
-    n = W * P
-    return np.empty((R, n + 8 * (n % 16 == 0)))[:, :n].reshape(R, W, P)
+def _cores() -> int:
+    """Cores this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no sched_getaffinity on this platform
+        return os.cpu_count() or 1
 
 
 def ensemble_scan(
@@ -179,10 +160,12 @@ def ensemble_scan(
     step-major windows of at most W = 2048 steps, or as few as 1024 to
     keep them under 64 MB, so that a longer path's whole array is never
     held; both step the same values.  A path of at most W steps is drawn
-    whole; a longer one in windows of W/2 steps, each drawn on a
-    background thread while the one before it is stepped, so the two
-    buffers hold W steps together.  No draw outlives the call.  start
-    holds the P start values.  barriers,
+    whole.  Where a core is idle (more than one core, and the calling
+    thread is not stepping one of mc's tiles), a longer one is drawn in
+    windows of W/2 steps, each by a thread of the call's own while the
+    one before it is stepped, so the two buffers hold W steps together;
+    elsewhere it is drawn in place in windows of W.  No draw outlives the
+    call.  start holds the P start values.  barriers,
     shape (F, M+1), are the paths of the topology's last F rows, which are
     fixed: they are written into the state at every grid index instead of
     being stepped.  drifts (the constant a of each moving row) and
@@ -244,9 +227,12 @@ def ensemble_scan(
         # drawn in windows of whole chunks, so that no chunk straddles two
         steps = _WINDOW_BYTES // (8 * max(R * P, 1))
         chunks = -(-min(_WINDOW, max(_MIN_WINDOW, steps)) // K)
-        ring = 1 if M <= chunks * K or chunks == 1 else 2
+        ring = 1
+        if (M > chunks * K and chunks > 1 and _cores() > 1
+                and not getattr(_tile_thread, "on", False)):
+            ring = 2  # two half windows, one drawn while the other is stepped
         W = min(M, chunks // ring * K)
-        windows = [_window(R, W, P) for _ in range(ring)]
+        windows = [np.empty((R, W, P)) for _ in range(ring)]
     else:
         W, windows = M, [noise.transpose(0, 2, 1)]
     block, dW = np.empty((K + 1, P + F, GR)), np.empty((K, P, GR))
@@ -261,6 +247,8 @@ def ensemble_scan(
     if observe is not None:
         observe(0, block[:1, :P])
     pending = None  # the draw of the next window, while one is running
+    # a thread of this call's own, so that no draw outlives it
+    drawer = ThreadPoolExecutor(max_workers=1) if len(windows) > 1 else None
     try:
         for s in range(0, M, K):
             k = min(K, M - s)
@@ -271,10 +259,9 @@ def ensemble_scan(
                     noise.fill(window[:, : min(W, M - s)])
                 else:
                     pending.result()
-                    pending = None
-                if len(windows) > 1 and s + W < M:
+                if drawer is not None and s + W < M:
                     ahead = windows[(s // W + 1) % 2][:, : min(W, M - s - W)]
-                    pending = _drawer().submit(noise.fill, ahead)
+                    pending = drawer.submit(noise.fill, ahead)
             np.divide(window[:, at : at + k].transpose(1, 2, 0)[:, :, None],
                       sqg, out=dW[:k].reshape(k, P, G, R))
             if F:
@@ -314,10 +301,10 @@ def ensemble_scan(
                 observe(s + 1, states)
             block[0] = block[k]
     finally:
-        if pending is not None:
-            # the draw ends before the call does; the error raised is the
-            # one already on its way
-            pending.exception()
+        if drawer is not None:
+            # waits for a pending draw; the error raised is the one already
+            # on its way
+            drawer.shutdown()
     return clamps.reshape(gam.shape + (R,))
 
 

@@ -22,7 +22,7 @@ from whittaker2d import (
     smallball_probability,
     wilson_interval,
 )
-from whittaker2d import mc
+from whittaker2d import mc, sde
 from whittaker2d.mc import DegenerateFitError, EmptySampleError
 from whittaker2d.noise import IncrementStream, ensemble_increments
 from whittaker2d.sde import NonFiniteError
@@ -359,6 +359,38 @@ def test_interlace_tiles_match_one_scan(cores, small_tiles, n_cores):
     assert len(scans) > 1 and sum(scans) == 1009
     assert tiled == one
     assert 0 < one[1].c_violation < one[0].c_violation < 1
+
+
+def test_tile_scans_draw_in_place(cores, small_tiles, monkeypatch):
+    # with one tile per core no core is idle: each tile's scan draws its
+    # 2500 steps in place, in a window of at least 2048 and the rest, on
+    # the thread that steps it; an inline scan draws ahead on a thread of
+    # its own
+    drawn, fill = [], IncrementStream.fill
+
+    def recorded(stream, out):
+        drawn.append((threading.get_ident(), out.shape[1],
+                      getattr(sde._tile_thread, "on", False)))
+        return fill(stream, out)
+
+    monkeypatch.setattr(IncrementStream, "fill", recorded)
+    monkeypatch.setattr(sde, "_cores", lambda: 2)
+    args, kwargs = ([4.0, 64.0], 200, 21), dict(dt=4e-4, batch_size=200)
+    one = interlace_event_frequency(*args, **kwargs)
+    assert len({t for t, _, _ in drawn}) == 2
+    assert not any(on for _, _, on in drawn)
+    cores(2)
+    scans = small_tiles()
+    drawn.clear()
+    tiled = interlace_event_frequency(*args, **kwargs)
+    assert scans == [100, 100]
+    assert tiled == one
+    assert all(on for _, _, on in drawn)
+    for thread in {t for t, _, _ in drawn}:
+        windows = [k for t, k, _ in drawn if t == thread]
+        assert len(windows) == 2 and windows[0] >= 2048
+        assert sum(windows) == 2500
+    assert not getattr(sde._tile_thread, "on", False)
 
 
 def test_interlace_long_shape_runs_inline(cores):

@@ -383,6 +383,7 @@ def test_streamed_scan_matches_materialized(
     # stands for a wide batch: a path of 1000 steps is still drawn whole,
     # and a longer one in windows of 512 steps
     R, grid = 64, TimeGrid(0.0, 1.0, steps)
+    monkeypatch.setattr(sde, "_cores", lambda: 2)  # a core to draw on
     if room is not None:
         monkeypatch.setattr(sde, "_WINDOW_BYTES", 8 * R * 4 * room)
     stream = IncrementStream(30, range(R), grid, 4)
@@ -426,7 +427,13 @@ def _recorded(stream, poison=None, slow=None):
     return log
 
 
-def test_raise_while_a_draw_is_pending():
+@pytest.fixture
+def idle_core(monkeypatch):
+    """Two cores, so that a scan has one to draw ahead on."""
+    monkeypatch.setattr(sde, "_cores", lambda: 2)
+
+
+def test_raise_while_a_draw_is_pending(idle_core):
     # windows of 1024 steps: the +inf is in window 2, and the draw of
     # window 3 is still running when the scan raises
     R, grid, (rep, step, particle) = 64, TimeGrid(0.0, 1.0, 5000), (5, 1500, 2)
@@ -446,6 +453,27 @@ def test_raise_while_a_draw_is_pending():
     assert log[0]["thread"] == threading.get_ident() != log[2]["thread"]
 
 
+@pytest.mark.parametrize("where", ["one-core", "tile-thread"])
+def test_no_idle_core_draws_in_place(monkeypatch, where):
+    # on one core, or in a thread stepping one of mc's tiles, the scan
+    # draws whole windows of 2048 steps in place, one at a time
+    R, grid = 64, TimeGrid(0.0, 1.0, 5000)
+    stream = IncrementStream(30, range(R), grid, 4)
+    log = _recorded(stream)
+    monkeypatch.setattr(sde, "_cores", lambda: 1 if where == "one-core" else 2)
+    sde._tile_thread.on = where == "tile-thread"
+    try:
+        got, got_clamps, _ = _scan_blocks(FOUR_PARTICLE, stream, 2.0, 0.5)
+    finally:
+        sde._tile_thread.on = False
+    expect, clamps, _ = _scan_blocks(
+        FOUR_PARTICLE, ensemble_increments(30, range(R), grid, 4), 2.0, 0.5)
+    assert [e["shape"][1] for e in log] == [2048, 2048, 904]
+    assert {e["thread"] for e in log} == {threading.get_ident()}
+    assert got.tobytes() == expect.tobytes()
+    assert got_clamps.tobytes() == clamps.tobytes()
+
+
 @pytest.mark.parametrize(
     "R, steps, gammas, room",
     [(100, 10_000, [16.0, 64.0], None), (64, 5000, [2.0], None),
@@ -453,8 +481,8 @@ def test_raise_while_a_draw_is_pending():
      (64, 1000, [2.0, 64.0], 100)],
     ids=["interlace-long", "ragged", "whole", "wide-ragged", "wide-whole"],
 )
-def test_two_windows_hold_no_more_than_one(monkeypatch, R, steps, gammas,
-                                           room):
+def test_two_windows_hold_no_more_than_one(idle_core, monkeypatch, R, steps,
+                                           gammas, room):
     # the two buffers together hold at most the one window of W steps
     # drawn before the ring: 2048 steps, or as many as fit 64 MB but at
     # least 1024, in whole chunks; a path that fits is drawn whole
@@ -479,9 +507,9 @@ def test_two_windows_hold_no_more_than_one(monkeypatch, R, steps, gammas,
     assert all(e["done"] for e in log)
 
 
-def test_concurrent_streamed_scans_share_the_draw_thread():
-    # more scans than cores, each of three windows, queue their draws on
-    # the one draw thread; every one steps what it steps alone
+def test_concurrent_streamed_scans(idle_core):
+    # more scans than cores, each of three windows and its own draw thread;
+    # every one steps what it steps alone
     grid, switch = TimeGrid(0.0, 1.0, 3000), sys.getswitchinterval()
 
     def run(seed):
@@ -508,8 +536,9 @@ def test_concurrent_streamed_scans_share_the_draw_thread():
     assert together == alone
 
 
-def test_streamed_scan_in_a_forked_child():
-    # the child inherits the draw thread's executor but not its thread
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_streamed_scan_in_a_forked_child(idle_core):
+    # a child forked after the parent drew ahead draws ahead as well
     R, grid = 64, TimeGrid(0.0, 1.0, 3000)
 
     def run():
@@ -518,7 +547,6 @@ def test_streamed_scan_in_a_forked_child():
         return got.tobytes() + clamps.tobytes()
 
     once = run()
-    assert sde._draw_pool is not None
     with warnings.catch_warnings():
         # forking a process that runs threads warns on some Pythons
         warnings.simplefilter("ignore", DeprecationWarning)
