@@ -24,6 +24,7 @@ from .model import (
     SamplePath,
     TimeGrid,
     TriangularConfiguration,
+    _float_rows,
     bundle_from_csv,
     bundle_to_csv,
     configuration_from_csv,
@@ -113,18 +114,14 @@ def _read_configuration(path: str | None, N: int) -> TriangularConfiguration:
 
 def _read_path_csv(path: str) -> SamplePath:
     """Single-path CSV: header `t,value`, one row per grid point."""
-    rows = []
     with open(path) as f:
-        for line in f:
-            line = line.strip()
-            if not line or line.startswith("#") or line.startswith("t,"):
-                continue
-            t, v = line.split(",")
-            rows.append((float(t), float(v)))
+        try:
+            _, rows = _float_rows(f, 2, skip=("#", "t,"))
+        except ValueError as e:
+            raise UsageError(str(e)) from None
     if len(rows) < 2:
         raise UsageError(f"{path}: need at least two rows")
-    t = np.array([r[0] for r in rows])
-    v = np.array([r[1] for r in rows])
+    t, v = rows.T
     dts = np.diff(t)
     if not np.allclose(dts, dts[0], rtol=1e-9, atol=1e-12):
         raise UsageError(f"{path}: grid is not uniform")
@@ -197,13 +194,10 @@ def _cmd_reflect(args) -> int:
     with _output(args.out) as f:
         f.write(f"# config={_resolved(args)}\n")
         f.write("t,path,push,active\n")
-        t = driver.grid.times
-        for i in range(driver.grid.npoints):
-            f.write(
-                f"{float(t[i])!r},{float(result.path.values[i])!r},"
-                f"{float(result.push_term.values[i])!r},"
-                f"{int(result.active[i])}\n"
-            )
+        cols = [driver.grid.times, result.path.values,
+                result.push_term.values, result.active.astype(int)]
+        f.write("".join(",".join(map(repr, row)) + "\n"
+                        for row in zip(*(c.tolist() for c in cols))))
     return 0
 
 

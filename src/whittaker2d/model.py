@@ -14,7 +14,9 @@ operations are pure, so everything is safe to share across workers.
 
 from __future__ import annotations
 
+import contextlib
 import functools
+import itertools
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -451,30 +453,43 @@ def bundle_to_csv(f, bundle: PathBundle, comments: list[str] | None = None) -> N
     for line in comments or []:
         f.write(f"# {line}\n")
     f.write(_bundle_header(bundle.N) + "\n")
-    t = bundle.grid.times
-    for i in range(bundle.grid.npoints):
-        row = [repr(float(t[i]))] + [
-            repr(float(v)) for v in bundle.values[:, i]
-        ]
-        f.write(",".join(row) + "\n")
+    table = np.column_stack([bundle.grid.times, bundle.values.T]).tolist()
+    f.write("".join(",".join(map(repr, row)) + "\n" for row in table))
+
+
+def _float_rows(f, ncols: int | None = None, skip=("#",)):
+    """Header fields (None if ncols is given) and (n, ncols) float rows of
+    CSV text f, skipping blank lines and those starting with a prefix in
+    skip, parsed by one join, split and map(float).  A malformed row raises
+    ValueError naming f's file, if it has a name, and the 1-based line."""
+    lines = [ln.strip() for ln in f]
+    rows = [ln for ln in lines if ln and not ln.startswith(skip)]
+    header = None if ncols else (rows.pop(0).split(",") if rows else [])
+    ncols = ncols or len(header)
+    with contextlib.suppress(ValueError):
+        if set(map(str.count, rows, itertools.repeat(","))) <= {ncols - 1}:
+            flat = list(map(float, ",".join(rows).split(","))) if rows else []
+            return header, np.array(flat).reshape(len(rows), ncols)
+    # a malformed row: find the first, row by row
+    where = "" if getattr(f, "name", None) is None else f"{f.name}: "
+    numbered = [(i, ln) for i, ln in enumerate(lines, 1)
+                if ln and not ln.startswith(skip)]
+    for i, ln in numbered[header is not None :]:
+        fields = ln.split(",")
+        try:
+            if len(fields) != ncols:
+                raise ValueError(f"{len(fields)} fields, expected {ncols}")
+            list(map(float, fields))
+        except ValueError as e:
+            raise ValueError(f"{where}line {i}: {e}") from None
 
 
 def bundle_from_csv(f) -> PathBundle:
-    """Read a bundle written by bundle_to_csv.  Trailing comments allowed."""
-    rows = []
-    header = None
-    for line in f:
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        if header is None:
-            header = line.split(",")
-            continue
-        rows.append([float(x) for x in line.split(",")])
-    if header is None or not rows:
+    """Read a bundle written by bundle_to_csv; skips blank and # lines."""
+    header, data = _float_rows(f)
+    if not len(data):
         raise ValueError("empty bundle CSV")
-    ncols = len(header)
-    P = ncols - 1
+    P = len(header) - 1
     # invert P = N(N+1)/2
     N = int((np.sqrt(8 * P + 1) - 1) / 2)
     if tri_size(N) != P:
@@ -482,7 +497,6 @@ def bundle_from_csv(f) -> PathBundle:
     expected = _bundle_header(N).split(",")
     if header != expected:
         raise ValueError(f"unexpected header {header}, want {expected}")
-    data = np.asarray(rows)
     t = data[:, 0]
     dts = np.diff(t)
     if len(t) < 2 or not np.allclose(dts, dts[0], rtol=1e-9, atol=1e-12):
@@ -498,16 +512,11 @@ def configuration_to_csv(f, config: TriangularConfiguration) -> None:
 
 
 def configuration_from_csv(f) -> TriangularConfiguration:
-    lines = [
-        ln.strip()
-        for ln in f
-        if ln.strip() and not ln.strip().startswith("#")
-    ]
-    if len(lines) < 2:
+    header, rows = _float_rows(f)
+    if not len(rows):
         raise ValueError("configuration CSV needs a header and one data row")
-    P = len(lines[0].split(","))
+    P = len(header)
     N = int((np.sqrt(8 * P + 1) - 1) / 2)
     if tri_size(N) != P:
         raise ValueError(f"{P} columns is not a triangular count")
-    entries = np.asarray([float(x) for x in lines[1].split(",")])
-    return TriangularConfiguration(N, entries)
+    return TriangularConfiguration(N, rows[0])

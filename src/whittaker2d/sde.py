@@ -58,6 +58,7 @@ __all__ = [
 
 _EXP_MAX = 700.0  # exp argument ceiling, just under float64 overflow
 _CHUNK_BYTES = 1 << 19  # size of each per-chunk buffer of ensemble_scan
+_MAX_CHUNK = 256  # steps per chunk at most, so its step views stay few
 # ensemble_scan holds an IncrementStream's draws in _WINDOW steps (in whole
 # chunks), fewer if that would take more than _WINDOW_BYTES, but never
 # fewer than _MIN_WINDOW: every window costs each replicate one more draw
@@ -179,8 +180,9 @@ def ensemble_scan(
     The step is T <- T + dW / sqrt(gamma) + clamp(drift, +-cap) * dt with
     the whole state read at the start of the step.  Steps run in chunks of
     k, sized so that the chunk's scaled noise (k, P, G*R) and its states
-    take about 512 KB each.  observe(i0, block) gets the moving rows' states
-    at grid indices i0 .. i0+k-1, a (k, P, G*R) view that the next chunk
+    take about 512 KB each, and of at most 256 steps, whose views are made
+    once per call.  observe(i0, block) gets the moving rows' states at grid
+    indices i0 .. i0+k-1, a (k, P, G*R) view that the next chunk
     overwrites: once for i0 = 0, then once per chunk.  A non-finite state
     raises NonFiniteError at its first step and particle before its chunk
     is observed.  Returns the per-replicate clamp-event counts, shape
@@ -221,7 +223,7 @@ def ensemble_scan(
         lim = np.concatenate([truncation, np.full(F, np.inf)])[:, None]
     # 0-d operands: a Python float costs each ufunc call a conversion
     exp_max, dt = np.array(_EXP_MAX), np.array(dt, dtype=float)
-    K = max(1, min(M, _CHUNK_BYTES // (8 * (P + F) * max(GR, 1))))
+    K = max(1, min(M, _MAX_CHUNK, _CHUNK_BYTES // (8 * (P + F) * max(GR, 1))))
     streamed = isinstance(noise, IncrementStream)
     if streamed:
         # drawn in windows of whole chunks, so that no chunk straddles two
@@ -238,11 +240,16 @@ def ensemble_scan(
     block, dW = np.empty((K + 1, P + F, GR)), np.empty((K, P, GR))
     clamped = np.empty((K, P, GR), dtype=bool)
     both, push = np.empty((2 * E, GR)), np.zeros((E + 1, GR))
-    gap, far = both[:E], both[E:]
+    gap, far, push_e = both[:E], both[E:], push[:E]
     rows = np.empty((2 * P, GR))
     drift, down = rows[:P], rows[P:]
     tamed = np.empty((P, GR))
     clamps = np.zeros(GR, dtype=int)
+    # each step's views, made once and reused by every chunk
+    views = [(block[j], block[j, :P], block[j + 1, :P], dW[j], clamped[j])
+             for j in range(K)]
+    # out goes positionally, except to np.minimum and np.maximum (deprecated)
+    add, sub, mul, exp = np.add, np.subtract, np.multiply, np.exp
     block[0, :P] = np.reshape(start, (P, 1))
     if observe is not None:
         observe(0, block[:1, :P])
@@ -270,27 +277,27 @@ def ensemble_scan(
             # so the inf - inf or overflow it meets on the way is not warned
             # about
             with np.errstate(invalid="ignore", over="ignore"):
-                for j in range(k):
-                    v = block[j] if truncation is None else np.clip(
-                        block[j], -lim, lim)
+                for v, now, nxt, dw, clamp in views[:k]:
+                    if truncation is not None:
+                        v = np.clip(v, -lim, lim)
                     # the take method skips np.take's Python-level wrapper;
                     # one call gathers both ends of every edge
                     v.take(ends, 0, both, "clip")
-                    np.subtract(gap, far, out=gap)
-                    np.multiply(gap, g_row, out=gap)
+                    sub(gap, far, gap)
+                    mul(gap, g_row, gap)
                     np.minimum(gap, exp_max, out=gap)
-                    np.exp(gap, out=push[:E])
+                    exp(gap, push_e)
                     # and one call both pushes of every row
                     push.take(pushes, 0, rows, "clip")
                     if base is not None:
-                        np.add(base, drift, out=drift)
-                    np.subtract(drift, down, out=drift)
+                        add(base, drift, drift)
+                    sub(drift, down, drift)
                     np.maximum(drift, lo_cap, out=tamed)
                     np.minimum(tamed, hi_cap, out=tamed)
-                    np.not_equal(tamed, drift, out=clamped[j])
-                    np.multiply(tamed, dt, out=tamed)
-                    np.add(block[j, :P], dW[j], out=block[j + 1, :P])
-                    block[j + 1, :P] += tamed
+                    np.not_equal(tamed, drift, clamp)
+                    mul(tamed, dt, tamed)
+                    add(now, dw, nxt)
+                    add(nxt, tamed, nxt)
             states = block[1 : k + 1, :P]
             if not np.isfinite(states[-1]).all():
                 j, _, p = np.argwhere(

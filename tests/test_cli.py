@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from whittaker2d import bundle_from_csv
+from whittaker2d import SamplePath, TimeGrid, bundle_from_csv, reflect_above
 from whittaker2d.cli import _build_parser, main
 
 
@@ -99,6 +99,50 @@ def test_reflect_round_trip(tmp_path, capsys):
     ]
     path = np.array([float(r[1]) for r in rows])
     np.testing.assert_allclose(path, np.maximum(t - 0.5, 0.0), atol=1e-12)
+
+
+def test_reflect_output_is_per_value_repr(tmp_path, capsys):
+    grid = TimeGrid(0.0, 1.0, 5)
+    t = grid.times.tolist()
+    driver = [0.0, 0.1, -0.2, 5e-324, 0.3, 1 / 3]
+    drv = tmp_path / "drv.csv"
+    drv.write_text("t,value\n" + "".join(
+        f"{x!r},{v!r}\n" for x, v in zip(t, driver)))
+    bar = tmp_path / "bar.csv"
+    bar.write_text("t,value\n" + "".join(f"{x!r},-0.0\n" for x in t))
+    code, out, _ = run(
+        ["reflect", "--driver", str(drv), "--barrier", str(bar)], capsys
+    )
+    assert code == 0
+    want = reflect_above(SamplePath(grid, driver),
+                         SamplePath.constant(grid, -0.0), 0.0)
+    assert out.splitlines()[1:] == ["t,path,push,active"] + [
+        f"{x!r},{float(p)!r},{float(q)!r},{int(a)}"
+        for x, p, q, a in zip(t, want.path.values, want.push_term.values,
+                              want.active)
+    ]
+
+
+@pytest.mark.parametrize(
+    "row, message",
+    [("0.5,1.0,2.0", "line 4: 3 fields, expected 2"),
+     ("0.5,x", "line 4: could not convert string to float: 'x'"),
+     ("0.5,", "line 4: could not convert string to float: ''")],
+    ids=["ragged", "non-numeric", "empty-field"],
+)
+@pytest.mark.parametrize("command", ["rate", "reflect"])
+def test_malformed_csv_row_names_file_and_line(tmp_path, capsys, command,
+                                               row, message):
+    header = "t,T_1_1" if command == "rate" else "t,value"
+    bad = tmp_path / "bad.csv"
+    bad.write_text(f"# comment\n{header}\n0.0,1.0\n{row}\n\n1.0,1.0\n")
+    good = tmp_path / "good.csv"
+    good.write_text("t,value\n0.0,0.0\n0.5,0.0\n1.0,0.0\n")
+    argv = (["rate", "--bundle", str(bad)] if command == "rate" else
+            ["reflect", "--driver", str(bad), "--barrier", str(good)])
+    code, _, err = run(argv, capsys)
+    assert code == 1
+    assert err == f"error: {bad}: {message}\n"
 
 
 def test_malformed_json_config(tmp_path, capsys):

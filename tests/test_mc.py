@@ -12,6 +12,7 @@ from scipy.special import ndtr
 from whittaker2d import (
     ModelConfig,
     PathBundle,
+    SamplePath,
     TimeGrid,
     Topology,
     TriangularConfiguration,
@@ -523,6 +524,44 @@ def test_equivalence_degenerate_eta():
     assert rep.violation_fraction >= 0.0
     with pytest.raises(ValueError):
         equivalence_experiment(8.0, -0.1, grid, 100, seed=12)
+
+
+def _equivalence_reference(gamma, eta, grid, n_samples, seed):
+    """The coupling from the two single-particle steppers, each stepping
+    the stored increments of one batch and keeping whole paths."""
+    lower = SamplePath.constant(grid, -0.05)
+    upper = SamplePath.constant(grid, eta + 0.2)
+    budget = sde._gap_budget(gamma, eta, grid)
+    tube, gap = [], []
+    for r0 in range(0, n_samples, mc._EQUIVALENCE_BATCH):
+        reps = range(r0, min(n_samples, r0 + mc._EQUIVALENCE_BATCH))
+        inc = ensemble_increments(seed, reps, grid, 1)[:, 0, :]
+        full = sde.simulate_two_barrier(lower, upper, inc, 0.0, gamma)
+        twin = sde.simulate_lower_barrier_euler(lower, inc, 0.0, gamma)
+        tube.append(np.max(full - upper.values, axis=1) <= -eta)
+        gap.append(np.max(np.abs(twin - full), axis=1))
+    tube, gap = np.concatenate(tube), np.concatenate(gap)
+    return mc.EquivalenceReport(
+        gamma=gamma,
+        eta=eta,
+        budget=budget,
+        n_samples=n_samples,
+        n_in_tube=int(np.count_nonzero(tube)),
+        n_violations=int(np.count_nonzero(tube & (gap > budget))),
+        max_gap_in_tube=float(np.max(gap[tube])) if tube.any() else 0.0,
+    )
+
+
+@pytest.mark.parametrize("gamma", [8.0, 32.0])
+@pytest.mark.parametrize("eta", [0.0, 0.1])
+def test_equivalence_equals_two_single_particle_scans(gamma, eta):
+    # 2500 samples span two batches; every field must match exactly
+    n_samples = 2500
+    assert mc._EQUIVALENCE_BATCH < n_samples
+    grid = TimeGrid.from_dt(0.0, 1.0, 1e-3)
+    want = _equivalence_reference(gamma, eta, grid, n_samples, 23)
+    assert want.n_in_tube > 0
+    assert equivalence_experiment(gamma, eta, grid, n_samples, 23) == want
 
 
 def test_interlace_gamma_sweep_equals_one_gamma_at_a_time():

@@ -257,6 +257,54 @@ def test_bundle_csv_rejects_bad_column_count():
         bundle_from_csv(io.StringIO(text))
 
 
+def test_bundle_csv_bytes_are_per_value_repr():
+    # the writer formats every value as repr(float(v)), one row per point
+    grid = TimeGrid(0.0, 1.0, 4)
+    values = np.array([[-0.0, 5e-324, 1e300, 0.1, 1.0],
+                       [1.0, 0.1, -1e300, -5e-324, 0.0],
+                       [1 / 3, -0.0, 2.5e-8, 7.0, -0.1]])
+    bundle = PathBundle(2, grid, values)
+    buf = io.StringIO()
+    bundle_to_csv(buf, bundle, comments=["c"])
+    want = "# c\nt,T_1_1,T_2_1,T_2_2\n" + "".join(
+        ",".join([repr(float(grid.times[i]))]
+                 + [repr(float(v)) for v in values[:, i]]) + "\n"
+        for i in range(grid.npoints)
+    )
+    assert buf.getvalue() == want
+    back = bundle_from_csv(io.StringIO(want))
+    assert back.values.tobytes() == bundle.values.tobytes()
+
+
+def test_bundle_csv_round_trip_skips_blank_and_comment_lines():
+    rng = np.random.default_rng(7)
+    grid = TimeGrid(0.0, 0.5, 6)
+    bundle = PathBundle(3, grid, rng.normal(size=(6, 7)))
+    buf = io.StringIO()
+    bundle_to_csv(buf, bundle)
+    lines = buf.getvalue().splitlines()
+    spaced = []
+    for i, line in enumerate(lines):
+        spaced += [line, "", "# between rows"] if i % 2 else [line, "  "]
+    back = bundle_from_csv(io.StringIO("\n".join(spaced) + "\n"))
+    assert back.grid == bundle.grid
+    np.testing.assert_array_equal(back.values, bundle.values)
+
+
+@pytest.mark.parametrize(
+    "row, message",
+    [("0.5,1.0,2.0", "line 4: 3 fields, expected 2"),
+     ("0.5,x", "line 4: could not convert string to float: 'x'"),
+     ("0.5,", "line 4: could not convert string to float: ''")],
+    ids=["ragged", "non-numeric", "empty-field"],
+)
+def test_bundle_csv_names_the_malformed_line(row, message):
+    text = f"# comment\nt,T_1_1\n0.0,1.0\n{row}\n\n1.0,1.0\n"
+    with pytest.raises(ValueError) as exc:
+        bundle_from_csv(io.StringIO(text))
+    assert str(exc.value) == message
+
+
 def test_configuration_csv_round_trip():
     cfg = TriangularConfiguration(2, np.array([0.5, 1.25, -0.125]))
     buf = io.StringIO()
