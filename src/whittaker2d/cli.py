@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import sys
 
@@ -417,15 +418,21 @@ def _build_parser() -> tuple[_Parser, dict]:
     return parser, registry
 
 
+@functools.cache
+def _flag_parser() -> _Parser:
+    """The tree of built-in defaults, built once per process; a --config
+    call sets its file's defaults on a tree of its own."""
+    return _build_parser()[0]
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        parser, registry = _build_parser()
-        args = parser.parse_args(argv)
+        args = _flag_parser().parse_args(argv)
         if args.config:
             file_cfg = _load_config_file(args.config)
-            sub = registry[args.command]
-            known = {a.dest for a in sub._actions}
+            parser, registry = _build_parser()
+            known = {a.dest for a in registry[args.command]._actions}
             unknown = sorted(set(file_cfg) - known)
             if unknown:
                 raise UsageError(
@@ -434,7 +441,6 @@ def main(argv=None) -> int:
             if "gammas" in file_cfg:
                 file_cfg["gammas"] = _positive_gammas(file_cfg["gammas"])
             # flags still win: set file values as defaults and reparse
-            parser, registry = _build_parser()
             registry[args.command].set_defaults(**file_cfg)
             args = parser.parse_args(argv)
         return args.func(args)

@@ -17,9 +17,11 @@ hold what one window would.
 
 The exponential drift is stiff; the Euler stepper tames it by clamping the
 net drift to +-D with D = exp(0.25 * gamma) by default, and reports every
-clamping event so experiments can detect contamination.  Closed-form edge
-solutions integrate exp(gamma * h) by trapezoid in log space, which stays
-finite at any gamma.
+clamping event so experiments can detect contamination.  It steps each
+chunk untamed first, and again, tamed, only in the columns whose drift
+exponents left the range where clamp and guard change nothing.  Closed-form
+edge solutions integrate exp(gamma * h) by trapezoid in log space, which
+stays finite at any gamma.
 """
 
 from __future__ import annotations
@@ -177,16 +179,21 @@ def ensemble_scan(
     G*R columns, gamma-major, each bit-identical to a call at its gamma
     alone.
 
-    The step is T <- T + dW / sqrt(gamma) + clamp(drift, +-cap) * dt with
-    the whole state read at the start of the step.  Steps run in chunks of
-    k, sized so that the chunk's scaled noise (k, P, G*R) and its states
-    take about 512 KB each, and of at most 256 steps, whose views are made
-    once per call.  observe(i0, block) gets the moving rows' states at grid
-    indices i0 .. i0+k-1, a (k, P, G*R) view that the next chunk
-    overwrites: once for i0 = 0, then once per chunk.  A non-finite state
-    raises NonFiniteError at its first step and particle before its chunk
-    is observed.  Returns the per-replicate clamp-event counts, shape
-    np.shape(gamma) + (R,).
+    The step is T <- T + dW / sqrt(gamma) + clamp(drift, +-cap) * dt, the
+    whole state read at the start of the step and each exp's argument
+    capped at 700.  A chunk is stepped with neither cap first, then again,
+    tamed, from its start state in each column where an edge's gamma * gap
+    passed min(log(cap - |a|), 700) of the row it pushes, rounded down past
+    log's and exp's rounding, or where a row's |a| reaches cap.  Below that
+    bound |drift| <= cap in floating point too (rounding is monotone), so
+    neither cap changes a value.  Steps run in chunks of k, sized so that
+    the chunk's scaled noise (k, P, G*R) and its states take about 512 KB
+    each, and of at most 256 steps, whose views are made once per call.
+    observe(i0, block) gets the moving rows' states at grid indices i0 ..
+    i0+k-1, a (k, P, G*R) view that the next chunk overwrites: once for
+    i0 = 0, then once per chunk.  A non-finite state raises NonFiniteError
+    at its first step and particle before its chunk is observed.  Returns
+    the per-replicate clamp-event counts, shape np.shape(gamma) + (R,).
     """
     R, P, M = noise.shape
     F = 0 if barriers is None else barriers.shape[0]
@@ -200,15 +207,16 @@ def ensemble_scan(
     G, GR = gam.size, gam.size * R
     caps = [default_drift_cap(g) for g in gam.flat] if cap is None else cap
     hi_cap = np.tile(np.repeat(np.broadcast_to(caps, (G,)), R), (P, 1))
-    lo_cap = -hi_cap
     sqg = np.sqrt(gam).reshape(G, 1)
     lower, upper = topology.lower[:P], topology.upper[:P]
     pushed_up = np.flatnonzero(lower >= 0)
     pushed_dn = np.flatnonzero(upper >= 0)
     n_up, n_dn = pushed_up.size, pushed_dn.size
-    # edge e carries exp(gamma * (v[hi[e]] - v[lo[e]])); upward pushes first
+    # edge e carries exp(gamma * (v[hi[e]] - v[lo[e]])) and pushes row
+    # owner[e]; upward pushes first
     hi = np.concatenate([lower[pushed_up], pushed_dn])
     lo = np.concatenate([pushed_up, upper[pushed_dn]])
+    owner = np.concatenate([pushed_up, pushed_dn])
     E = n_up + n_dn
     g_row = np.tile(np.repeat(gam, R), (E, 1))
     ends = np.concatenate([hi, lo])
@@ -219,6 +227,13 @@ def ensemble_scan(
     dn_edge[pushed_dn] = n_up + np.arange(n_dn)
     pushes = np.concatenate([up_edge, dn_edge])
     base = None if drifts is None else np.reshape(drifts, (P, 1))
+    a = np.zeros((P, 1)) if base is None else np.abs(base)
+    # NaN or a headroom <= 0 fails every comparison with the bound
+    with np.errstate(divide="ignore", invalid="ignore"):
+        room = np.minimum(np.log(hi_cap[owner] - a[owner]), _EXP_MAX)
+    bound = room - 1e-12 * (1.0 + np.abs(room))
+    # where a row's constant drift alone reaches its cap, no edge shows it
+    untamed = (a < hi_cap).all(0)
     if truncation is not None:
         lim = np.concatenate([truncation, np.full(F, np.inf)])[:, None]
     # 0-d operands: a Python float costs each ufunc call a conversion
@@ -238,18 +253,52 @@ def ensemble_scan(
     else:
         W, windows = M, [noise.transpose(0, 2, 1)]
     block, dW = np.empty((K + 1, P + F, GR)), np.empty((K, P, GR))
-    clamped = np.empty((K, P, GR), dtype=bool)
-    both, push = np.empty((2 * E, GR)), np.zeros((E + 1, GR))
-    gap, far, push_e = both[:E], both[E:], push[:E]
-    rows = np.empty((2 * P, GR))
-    drift, down = rows[:P], rows[P:]
-    tamed = np.empty((P, GR))
+    ghist = np.empty((K, E, GR))  # gamma * gap at each step of the chunk
     clamps = np.zeros(GR, dtype=int)
-    # each step's views, made once and reused by every chunk
-    views = [(block[j], block[j, :P], block[j + 1, :P], dW[j], clamped[j])
-             for j in range(K)]
     # out goes positionally, except to np.minimum and np.maximum (deprecated)
     add, sub, mul, exp = np.add, np.subtract, np.multiply, np.exp
+
+    def step_views(block, dW, ghist):
+        return [(block[j], block[j, :P], block[j + 1, :P], dW[j], ghist[j])
+                for j in range(len(ghist))]
+
+    def run(views, g_row, caps=None):
+        """Step views, writing gamma * gap to each one's last entry: untamed,
+        or tamed by caps and then returning each column's clamp events."""
+        cols = g_row.shape[1]
+        both, push = np.empty((2 * E, cols)), np.zeros((E + 1, cols))
+        rows = np.empty((2 * P, cols))
+        gap, far, push_e = both[:E], both[E:], push[:E]
+        drift, down = rows[:P], rows[P:]
+        if caps is not None:
+            lo, hits = -caps, np.empty((len(views), P, cols), dtype=bool)
+        for j, (v, now, nxt, dw, g) in enumerate(views):
+            if truncation is not None:
+                v = np.clip(v, -lim, lim)
+            # the take method skips np.take's Python-level wrapper;
+            # one call gathers both ends of every edge
+            v.take(ends, 0, both, "clip")
+            sub(gap, far, gap)
+            mul(gap, g_row, g)
+            if caps is not None:
+                np.minimum(g, exp_max, out=g)
+            exp(g, push_e)
+            # and one call both pushes of every row
+            push.take(pushes, 0, rows, "clip")
+            if base is not None:
+                add(base, drift, drift)
+            sub(drift, down, drift)
+            step = drift
+            if caps is not None:
+                step = np.maximum(drift, lo, out=down)  # down is spent
+                np.minimum(step, caps, out=step)
+                np.not_equal(step, drift, hits[j])
+            mul(step, dt, step)
+            add(now, dw, nxt)
+            add(nxt, step, nxt)
+        return None if caps is None else np.count_nonzero(hits, axis=(0, 1))
+
+    views = step_views(block, dW, ghist)  # made once, reused by every chunk
     block[0, :P] = np.reshape(start, (P, 1))
     if observe is not None:
         observe(0, block[:1, :P])
@@ -277,33 +326,23 @@ def ensemble_scan(
             # so the inf - inf or overflow it meets on the way is not warned
             # about
             with np.errstate(invalid="ignore", over="ignore"):
-                for v, now, nxt, dw, clamp in views[:k]:
-                    if truncation is not None:
-                        v = np.clip(v, -lim, lim)
-                    # the take method skips np.take's Python-level wrapper;
-                    # one call gathers both ends of every edge
-                    v.take(ends, 0, both, "clip")
-                    sub(gap, far, gap)
-                    mul(gap, g_row, gap)
-                    np.minimum(gap, exp_max, out=gap)
-                    exp(gap, push_e)
-                    # and one call both pushes of every row
-                    push.take(pushes, 0, rows, "clip")
-                    if base is not None:
-                        add(base, drift, drift)
-                    sub(drift, down, drift)
-                    np.maximum(drift, lo_cap, out=tamed)
-                    np.minimum(tamed, hi_cap, out=tamed)
-                    np.not_equal(tamed, drift, clamp)
-                    mul(tamed, dt, tamed)
-                    add(now, dw, nxt)
-                    add(nxt, tamed, nxt)
+                run(views[:k], g_row)
+                # the columns that may have clamped or met the guard are
+                # stepped again, tamed, from the chunk's start state
+                fine = (ghist[:k].max(0) <= bound).all(0)
+                redo = np.flatnonzero(~(fine & untamed))
+                if redo.size:
+                    part = block[: k + 1].take(redo, 2)
+                    clamps[redo] += run(
+                        step_views(part, dW[:k].take(redo, 2),
+                                   np.empty((k, E, redo.size))),
+                        g_row[:, redo], hi_cap[:, redo])
+                    block[1 : k + 1, :P, redo] = part[1:, :P]
             states = block[1 : k + 1, :P]
             if not np.isfinite(states[-1]).all():
                 j, _, p = np.argwhere(
                     ~np.isfinite(states).transpose(0, 2, 1))[0]
                 raise NonFiniteError(step=s + int(j) + 1, particle=int(p))
-            clamps += np.count_nonzero(clamped[:k], axis=(0, 1))
             if observe is not None:
                 observe(s + 1, states)
             block[0] = block[k]

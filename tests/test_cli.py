@@ -173,6 +173,17 @@ def test_config_file_with_flag_override(tmp_path, capsys):
     assert '"gamma": 9.0' in out_flag.splitlines()[0]
 
 
+def test_config_defaults_do_not_outlive_their_call(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"gamma": 4.0, "dt": 0.01, "seed": 3}))
+    _, with_file, _ = run(["simulate", "--config", str(cfg)], capsys)
+    assert '"gamma": 4.0' in with_file.splitlines()[0]
+    code, out, _ = run(["simulate", "--dt", "0.01"], capsys)
+    assert code == 0
+    resolved = json.loads(out.splitlines()[0].removeprefix("# config="))
+    assert (resolved["gamma"], resolved["seed"]) == (8.0, 0)
+
+
 def test_usage_error_exit_code(capsys):
     code, _, _ = run(["simulate", "--gamma", "notanumber"], capsys)
     assert code == 1

@@ -244,11 +244,17 @@ def test_four_particle_scan_shapes_and_symmetry():
         )
 
 
-def _reference_scan(topology, start, increments, gamma, dt, cap, barriers):
+def _reference_scan(topology, start, increments, gamma, dt, cap, barriers,
+                    drifts=None, truncation=None):
     """Tamed Euler one particle and one replicate at a time, written from
-    the drift formula: exp(gamma (lower - T)) - exp(gamma (T - upper)),
-    exponents capped at 700, drift clamped to +-cap."""
+    the drift formula: a + exp(gamma (lower - T)) - exp(gamma (T - upper)),
+    exponents capped at 700, drift clamped to +-cap, and each moving row's
+    T inside an exponent clipped to +-its truncation level."""
     R, P, M = increments.shape
+    a = np.zeros(P) if drifts is None else np.asarray(drifts, dtype=float)
+    lim = np.full(topology.size, np.inf)
+    if truncation is not None:
+        lim[:P] = truncation
     paths = np.zeros((R, topology.size, M + 1))
     clamps = np.zeros(R, dtype=int)
     for r in range(R):
@@ -256,13 +262,14 @@ def _reference_scan(topology, start, increments, gamma, dt, cap, barriers):
         T[:P, 0] = start
         T[P:] = barriers
         for i in range(M):
+            x = np.clip(T[:, i], -lim, lim)
             for p in range(P):
                 lo, up = topology.lower[p], topology.upper[p]
-                drift = 0.0
+                drift = a[p]
                 if lo >= 0:
-                    drift += np.exp(min(gamma * (T[lo, i] - T[p, i]), 700.0))
+                    drift += np.exp(min(gamma * (x[lo] - x[p]), 700.0))
                 if up >= 0:
-                    drift -= np.exp(min(gamma * (T[p, i] - T[up, i]), 700.0))
+                    drift -= np.exp(min(gamma * (x[p] - x[up]), 700.0))
                 tamed = min(max(drift, -cap), cap)
                 clamps[r] += tamed != drift
                 T[p, i + 1] = (
@@ -271,37 +278,109 @@ def _reference_scan(topology, start, increments, gamma, dt, cap, barriers):
     return paths[:, :P], clamps
 
 
-@pytest.mark.parametrize(
-    "topology, barriers",
-    [
-        (Topology.triangle(3), []),
-        (FOUR_PARTICLE, []),
-        (Topology([1, -1], [-1, -1]), [lambda t: np.sin(5 * t)]),
-        (Topology([1, -1, -1], [2, -1, -1]), [lambda t: -t, lambda t: t * t]),
-    ],
-    ids=["triangle3", "four-particle", "lower-barrier", "two-barrier"],
-)
-def test_scan_matches_reference_loop(topology, barriers):
-    gamma, cap = 32.0, 0.5
-    grid = TimeGrid(0.0, 0.5, 120)
+_REFERENCE_CASES = {
+    "triangle3": (Topology.triangle(3), [], {}),
+    "four-particle": (FOUR_PARTICLE, [], {}),
+    "lower-barrier": (
+        Topology([1, -1], [-1, -1]), [lambda t: np.sin(5 * t)], {}
+    ),
+    "two-barrier": (
+        Topology([1, -1, -1], [2, -1, -1]), [lambda t: -t, lambda t: t * t],
+        {},
+    ),
+    # some replicates clamp within a chunk and others do not, over a path
+    # of two chunks
+    "some-columns-clamp": (
+        Topology.triangle(2), [], {"gamma": 8.0, "cap": 2.5, "steps": 300},
+    ),
+    # the constant drift alone exceeds the cap, in a row with no edge
+    "drift-over-cap-n1": (
+        Topology.triangle(1), [],
+        {"gamma": 8.0, "cap": 0.5, "drifts": [1.0], "steps": 50},
+    ),
+    "edgeless-row-over-cap": (
+        Topology([-1, 0, -1, -1], [-1, -1, 0, -1]), [],
+        {"gamma": 2.0, "cap": 3.0, "drifts": [0.0, 0.5, -0.5, 4.0]},
+    ),
+    # the drifts leave the pushes less headroom than the cap
+    "drifts-near-cap": (
+        Topology.triangle(2), [],
+        {"gamma": 2.0, "cap": 3.0, "drifts": [0.0, 2.5, -2.5]},
+    ),
+    # the barriers cross so far that gamma * gap passes exp's guard of 700
+    # on both sides of the particle, then come inside the guard, then apart
+    "barriers-crossed": (
+        Topology([1, -1, -1], [2, -1, -1]),
+        [lambda t: 30.0 - 80.0 * t, lambda t: 80.0 * t - 30.0], {},
+    ),
+    # an infinite cap: only the guard bounds the exponents
+    "cap-inf": (
+        Topology([1, -1], [-1, -1]), [lambda t: 25.0 - 100.0 * t],
+        {"cap": np.inf},
+    ),
+    "truncated-drifts": (
+        Topology.triangle(3), [],
+        {"gamma": 4.0, "cap": 2.0, "drifts": [1.5, -1.2, 1.2, 1.0, 0, -1.0],
+         "truncation": [0.05, 0.1, 0.1, 0.2, 0.2, 0.2]},
+    ),
+    # inf noise in one replicate late in the second chunk, among replicates
+    # that clamp: the scan raises where the reference first goes non-finite,
+    # after observing the first chunk
+    "non-finite-noise": (
+        Topology.triangle(2), [],
+        {"gamma": 8.0, "cap": 2.5, "steps": 300, "poison": (2, 1, 280)},
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(_REFERENCE_CASES))
+def test_scan_matches_reference_loop(case):
+    topology, barriers, kw = _REFERENCE_CASES[case]
+    gamma, cap = kw.get("gamma", 32.0), kw.get("cap", 0.5)
+    grid = TimeGrid(0.0, 0.5, kw.get("steps", 120))
     fixed = np.array([f(grid.times) for f in barriers]).reshape(
         len(barriers), grid.npoints
     )
     P = topology.size - len(barriers)
     inc = ensemble_increments(12, range(3), grid, P)
+    if "poison" in kw:
+        inc[kw["poison"]] = np.inf
     start = np.zeros(P)
+    extra = {k: kw[k] for k in ("drifts", "truncation") if k in kw}
+    with np.errstate(all="ignore"):
+        expect, expect_clamps = _reference_scan(
+            topology, start, inc, gamma, grid.dt, cap, fixed, **extra
+        )
     states = []
-    clamps = ensemble_scan(
-        topology, start, inc, gamma, grid.dt, cap, barriers=fixed,
-        observe=lambda i, vals: states.extend(v.T.copy() for v in vals),
-    )
+
+    def scan():
+        return ensemble_scan(
+            topology, start, inc, gamma, grid.dt, cap, barriers=fixed,
+            observe=lambda i, vals: states.extend(v.T.copy() for v in vals),
+            **extra,
+        )
+
+    bad = ~np.isfinite(expect)
+    if bad.any():
+        # the first non-finite state in step, replicate, particle order
+        step, _, particle = np.argwhere(bad.transpose(2, 0, 1))[0]
+        with pytest.raises(NonFiniteError) as err:
+            scan()
+        assert (err.value.step, err.value.particle) == (step, particle)
+        got = np.stack(states, axis=-1)
+        assert 1 < got.shape[-1] <= step
+        np.testing.assert_array_equal(got, expect[..., : got.shape[-1]])
+        return
+    clamps = scan()
     got = np.stack(states, axis=-1)  # (R, P, M+1)
-    expect, expect_clamps = _reference_scan(
-        topology, start, inc, gamma, grid.dt, cap, fixed
-    )
-    np.testing.assert_array_equal(got, expect)
+    assert got.tobytes() == expect.tobytes()
     np.testing.assert_array_equal(clamps, expect_clamps)
-    assert expect_clamps.sum() > 0
+    if case == "some-columns-clamp":
+        assert 0 < np.count_nonzero(expect_clamps) < len(expect_clamps)
+    elif case == "drift-over-cap-n1":
+        assert list(expect_clamps) == [50] * len(expect_clamps)
+    elif case != "cap-inf":
+        assert expect_clamps.sum() > 0
 
 
 def test_equivalence_gap_budget_value():
