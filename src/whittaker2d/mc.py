@@ -8,9 +8,12 @@ tiling rule (_tiled) cuts each batch that is wide enough into contiguous
 tiles of replicates, scored by the calling thread and one module-level
 thread pool on the usable cores: the free particle's tiles are cache-sized
 paths, and every other tile draws its own noise stream and runs its own
-ensemble_scan, while a narrow batch runs as one inline scan.  Every estimator
-reports the fraction of replicates whose drift was clamped; experiments with
-more than 1% contamination should not be trusted and are flagged.
+ensemble_scan, while a narrow batch runs as one inline scan.
+smallball_probability, ldp_slope (in its per-gamma results) and
+interlace_event_frequency report the fraction of replicates whose drift was
+clamped; only EstimatorResult, the result of the first two, flags more than
+CONTAMINATION_LIMIT (1%) of them as not trusted.  equivalence_experiment
+reports no clamps.
 """
 
 from __future__ import annotations

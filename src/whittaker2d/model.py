@@ -17,6 +17,7 @@ from __future__ import annotations
 import contextlib
 import functools
 import itertools
+import operator
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -153,8 +154,12 @@ class TimeGrid:
     def __post_init__(self):
         if not (0.0 <= self.a < self.b <= 1.0):
             raise ValueError(f"need 0 <= a < b <= 1, got [{self.a}, {self.b}]")
-        if self.steps < 1:
-            raise ValueError("steps must be >= 1")
+        try:
+            ok = operator.index(self.steps) >= 1
+        except TypeError:
+            ok = False
+        if not ok:
+            raise ValueError(f"steps must be an int >= 1, got {self.steps}")
 
     @property
     def dt(self) -> float:

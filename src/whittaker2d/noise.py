@@ -18,6 +18,8 @@ scaling itself; noise is gamma-free.
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 from numpy.random import Generator, Philox
 
@@ -52,13 +54,17 @@ class IncrementStream:
         self, seed: int, replicates: range, grid: TimeGrid, n_streams: int
     ):
         # seed and replicate are the two 64-bit key words.  Outside
-        # [0, 2**64) they would wrap onto another stream, so they are
-        # rejected before any draw.
+        # [0, 2**64), or not integers, they would alias another stream, so
+        # they are rejected before any draw.
         for name, values in (("seed", (seed,)), ("replicate", replicates)):
             for value in values:
-                if not 0 <= value < 2**64:
+                try:
+                    ok = 0 <= operator.index(value) < 2**64
+                except TypeError:
+                    ok = False
+                if not ok:
                     raise ValueError(
-                        f"{name} must be in [0, 2**64), got {value}"
+                        f"{name} must be an integer in [0, 2**64), got {value}"
                     )
         self.shape = (len(replicates), n_streams, grid.steps)
         self._seed, self._replicates = seed, replicates

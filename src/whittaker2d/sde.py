@@ -45,7 +45,6 @@ from .model import (
 from .noise import IncrementStream
 
 __all__ = [
-    "TruncationLevels",
     "SimulationResult",
     "NonFiniteError",
     "DomainError",
@@ -104,28 +103,6 @@ def default_drift_cap(gamma: float) -> float:
 
 
 @dataclass(frozen=True)
-class TruncationLevels:
-    """Per-level cutoffs L_1 <= L_2 <= ... <= L_N for the truncated system."""
-
-    levels: np.ndarray
-
-    def __post_init__(self):
-        lv = np.array(self.levels, dtype=float)
-        if lv.ndim != 1 or lv.size == 0:
-            raise ValueError("levels must be a nonempty 1d array")
-        if np.any(lv < 0):
-            raise ValueError("levels must be nonnegative")
-        if np.any(np.diff(lv) < 0):
-            raise ValueError("levels must be nondecreasing")
-        lv.flags.writeable = False
-        object.__setattr__(self, "levels", lv)
-
-    @staticmethod
-    def uniform(N: int, L: float) -> "TruncationLevels":
-        return TruncationLevels(np.full(N, float(L)))
-
-
-@dataclass(frozen=True)
 class SimulationResult:
     bundle: PathBundle
     clamp_events: int
@@ -151,7 +128,6 @@ def ensemble_scan(
     dt: float,
     cap,
     drifts=None,
-    truncation=None,
     barriers=None,
     observe=None,
 ) -> np.ndarray:
@@ -171,13 +147,11 @@ def ensemble_scan(
     call.  start holds the P start values.  barriers,
     shape (F, M+1), are the paths of the topology's last F rows, which are
     fixed: they are written into the state at every grid index instead of
-    being stepped.  drifts (the constant a of each moving row) and
-    truncation (each moving row's cutoff L: T inside a drift exponent is
-    replaced by clip(T, -L, L)) have length P.  gamma is a scalar or a 1-d
-    array of G values, cap a scalar or one value per gamma (None:
-    default_drift_cap).  Every gamma steps the same noise: the state has
-    G*R columns, gamma-major, each bit-identical to a call at its gamma
-    alone.
+    being stepped.  drifts, the constant a of each moving row, has length
+    P.  gamma is a scalar or a 1-d array of G values, cap a scalar or one
+    value per gamma (None: default_drift_cap).  Every gamma steps the same
+    noise: the state has G*R columns, gamma-major, each bit-identical to a
+    call at its gamma alone.
 
     The step is T <- T + dW / sqrt(gamma) + clamp(drift, +-cap) * dt, the
     whole state read at the start of the step and each exp's argument
@@ -234,8 +208,6 @@ def ensemble_scan(
     bound = room - 1e-12 * (1.0 + np.abs(room))
     # where a row's constant drift alone reaches its cap, no edge shows it
     untamed = (a < hi_cap).all(0)
-    if truncation is not None:
-        lim = np.concatenate([truncation, np.full(F, np.inf)])[:, None]
     # 0-d operands: a Python float costs each ufunc call a conversion
     exp_max, dt = np.array(_EXP_MAX), np.array(dt, dtype=float)
     K = max(1, min(M, _MAX_CHUNK, _CHUNK_BYTES // (8 * (P + F) * max(GR, 1))))
@@ -273,8 +245,6 @@ def ensemble_scan(
         if caps is not None:
             lo, hits = -caps, np.empty((len(views), P, cols), dtype=bool)
         for j, (v, now, nxt, dw, g) in enumerate(views):
-            if truncation is not None:
-                v = np.clip(v, -lim, lim)
             # the take method skips np.take's Python-level wrapper;
             # one call gathers both ends of every edge
             v.take(ends, 0, both, "clip")
@@ -358,22 +328,14 @@ def simulate(
     config: ModelConfig,
     grid: TimeGrid,
     noise: np.ndarray,
-    truncation: TruncationLevels | None = None,
 ) -> SimulationResult:
     """Tamed Euler run of the full triangle from config.initial, with the
     taming cap config.drift_cap (default exp(0.25 * gamma)).
 
     noise holds the raw Normal(0, dt) increments, shape (P, M) for the P
-    particles in level-major order.  With truncation, every T inside a drift
-    exponent is replaced by its level cutoff clip(T, -L_n, L_n); with
-    inactive cutoffs the output is bit-identical to a run without.
+    particles in level-major order.
     """
     N = config.N
-    rows_per_level = np.arange(1, N + 1)
-    if truncation is not None:
-        if truncation.levels.shape != (N,):
-            raise ValueError("truncation levels must have one entry per level")
-        truncation = np.repeat(truncation.levels, rows_per_level)
     inc = np.asarray(noise, dtype=float)[None]
     if inc.shape[1:] != (tri_size(N), grid.steps):
         raise ValueError("noise shape does not match config/grid")
@@ -385,8 +347,7 @@ def simulate(
     clamps = ensemble_scan(
         Topology.triangle(N), config.initial.entries, inc, config.gamma,
         grid.dt, config.drift_cap,
-        drifts=np.repeat(config.drifts, rows_per_level),
-        truncation=truncation, observe=keep,
+        drifts=np.repeat(config.drifts, np.arange(1, N + 1)), observe=keep,
     )
     return SimulationResult(PathBundle(N, grid, out), int(clamps[0]))
 
@@ -410,6 +371,8 @@ def solve_edge_exact(
     is evaluated with trapezoid quadrature accumulated in log space, so the
     exponent may reach hundreds of units without overflow.
     """
+    if not 0 < gamma < np.inf:  # NaN fails too
+        raise ValueError(f"gamma must be positive and finite, got {gamma}")
     grid = lower.grid
     x = np.asarray(driver, dtype=float)
     if x.shape != (grid.npoints,):
@@ -499,7 +462,7 @@ def escape_probability_bound(C0: float, C: float, L: float, T: float) -> float:
     C1 = 1.0 + 2.0 * np.exp(C - 1.0)
     G = C0 * C0 * T + 0.5 * C1 * C1 * T * T
     denom = L * L - C1 * T - C0 * C0
-    if denom <= 0:
+    if not denom > 0:  # NaN fails too
         raise DomainError(
             f"bound vacuous: L^2 = {L * L} <= C1*T + C0^2 = {C1 * T + C0 * C0}"
         )

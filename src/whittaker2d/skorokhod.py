@@ -106,8 +106,8 @@ def smoothed_reflection_term(
     supremum V_inf; deterministically V_gamma <= V_inf + log(1+gamma)/gamma
     pointwise, and the two converge as gamma grows.
     """
-    if gamma <= 0:
-        raise ValueError("gamma must be positive")
+    if not 0 < gamma < np.inf:  # NaN fails too
+        raise ValueError(f"gamma must be positive and finite, got {gamma}")
     grid = h.grid
     log_integral = log_cumtrapz_exp(gamma * h.values, grid.dt) + np.log(gamma)
     v_gamma = np.logaddexp(0.0, log_integral) / gamma

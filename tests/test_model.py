@@ -92,6 +92,11 @@ def test_time_grid():
         TimeGrid(0.5, 0.5, 1)
     with pytest.raises(ValueError):
         TimeGrid(0.0, 1.0, 0)
+    # a fractional step count would give a fractional npoints
+    for steps in [2.5, 4.0, np.float64(4.0)]:
+        with pytest.raises(ValueError, match="steps"):
+            TimeGrid(0.0, 1.0, steps)
+    assert TimeGrid(0.0, 1.0, np.int64(4)) == g
 
 
 def test_time_grid_from_dt():

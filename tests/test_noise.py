@@ -42,6 +42,15 @@ def test_key_words_outside_64_bits_rejected():
         ensemble_increments(2**64, range(0, 1), grid, 1)[0]
     with pytest.raises(ValueError, match="replicate"):
         ensemble_increments(0, range(-1, 1), grid, 1)
+    # a float seed would alias an integer seed's stream
+    for seed in [1.5, 1.0, np.float64(1.0)]:
+        with pytest.raises(ValueError, match="seed"):
+            ensemble_increments(seed, range(2), grid, 1)
+    # numpy integers are integers
+    np.testing.assert_array_equal(
+        ensemble_increments(np.uint64(1), range(np.int64(2)), grid, 1),
+        ensemble_increments(1, range(2), grid, 1),
+    )
 
 
 def test_large_key_words_name_their_own_streams():

@@ -16,7 +16,6 @@ from whittaker2d import (
     TimeGrid,
     Topology,
     TriangularConfiguration,
-    TruncationLevels,
     default_drift_cap,
     ensemble_scan,
     escape_probability_bound,
@@ -94,43 +93,6 @@ def test_mirror_symmetry():
     )
 
 
-def test_truncation_inactive_is_bitwise_identical():
-    grid = TimeGrid(0.0, 1.0, 200)
-    noise = ensemble_increments(4, range(0, 1), grid, 3)[0]
-    cfg = _config(2, 8.0)
-    plain = simulate(cfg, grid, noise)
-    trunc = simulate(cfg, grid, noise, TruncationLevels.uniform(2, 1e6))
-    np.testing.assert_array_equal(
-        plain.bundle.values, trunc.bundle.values
-    )
-    assert plain.clamp_events == trunc.clamp_events
-
-
-def test_truncation_saturated_freezes_drift():
-    # L_k = 0 clips every drift exponent to 0: interior drift 0, edge drift 1
-    gamma = 2.0
-    grid = TimeGrid(0.0, 1.0, 100)
-    noise = np.zeros((3, grid.steps))
-    res = simulate(
-        _config(2, gamma), grid, noise, TruncationLevels.uniform(2, 0.0)
-    )
-    t = grid.times
-    np.testing.assert_allclose(res.bundle.values[tri_offset(1, 1)], 0.0)
-    np.testing.assert_allclose(
-        res.bundle.values[tri_offset(2, 1)], t, atol=1e-12
-    )
-    np.testing.assert_allclose(
-        res.bundle.values[tri_offset(2, 2)], -t, atol=1e-12
-    )
-
-
-def test_truncation_levels_validation():
-    with pytest.raises(ValueError):
-        TruncationLevels(np.array([2.0, 1.0]))
-    with pytest.raises(ValueError):
-        TruncationLevels(np.array([-1.0]))
-
-
 def test_drift_cap_validation():
     with pytest.raises(ValueError):
         _config(1, 8.0, drift_cap=-1.0)
@@ -175,6 +137,16 @@ def test_edge_exact_honors_start_and_grid_checks():
     assert out.values[0] == pytest.approx(0.3)
     with pytest.raises(ValueError):
         solve_edge_exact(barrier, np.zeros(7), 0.0, 2.0)
+
+
+def test_edge_exact_rejects_bad_gamma_without_warnings():
+    grid = TimeGrid(0.0, 1.0, 50)
+    barrier = SamplePath.constant(grid, 0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for gamma in [np.nan, 0.0, -1.0, np.inf]:
+            with pytest.raises(ValueError, match="gamma"):
+                solve_edge_exact(barrier, np.zeros(grid.npoints), 0.0, gamma)
 
 
 def test_edge_exact_dominates_free_path():
@@ -245,16 +217,12 @@ def test_four_particle_scan_shapes_and_symmetry():
 
 
 def _reference_scan(topology, start, increments, gamma, dt, cap, barriers,
-                    drifts=None, truncation=None):
+                    drifts=None):
     """Tamed Euler one particle and one replicate at a time, written from
     the drift formula: a + exp(gamma (lower - T)) - exp(gamma (T - upper)),
-    exponents capped at 700, drift clamped to +-cap, and each moving row's
-    T inside an exponent clipped to +-its truncation level."""
+    exponents capped at 700 and drift clamped to +-cap."""
     R, P, M = increments.shape
     a = np.zeros(P) if drifts is None else np.asarray(drifts, dtype=float)
-    lim = np.full(topology.size, np.inf)
-    if truncation is not None:
-        lim[:P] = truncation
     paths = np.zeros((R, topology.size, M + 1))
     clamps = np.zeros(R, dtype=int)
     for r in range(R):
@@ -262,7 +230,7 @@ def _reference_scan(topology, start, increments, gamma, dt, cap, barriers,
         T[:P, 0] = start
         T[P:] = barriers
         for i in range(M):
-            x = np.clip(T[:, i], -lim, lim)
+            x = T[:, i]
             for p in range(P):
                 lo, up = topology.lower[p], topology.upper[p]
                 drift = a[p]
@@ -318,10 +286,9 @@ _REFERENCE_CASES = {
         Topology([1, -1], [-1, -1]), [lambda t: 25.0 - 100.0 * t],
         {"cap": np.inf},
     ),
-    "truncated-drifts": (
+    "triangle3-drifts": (
         Topology.triangle(3), [],
-        {"gamma": 4.0, "cap": 2.0, "drifts": [1.5, -1.2, 1.2, 1.0, 0, -1.0],
-         "truncation": [0.05, 0.1, 0.1, 0.2, 0.2, 0.2]},
+        {"gamma": 4.0, "cap": 2.0, "drifts": [1.5, -1.2, 1.2, 1.0, 0, -1.0]},
     ),
     # inf noise in one replicate late in the second chunk, among replicates
     # that clamp: the scan raises where the reference first goes non-finite,
@@ -346,18 +313,18 @@ def test_scan_matches_reference_loop(case):
     if "poison" in kw:
         inc[kw["poison"]] = np.inf
     start = np.zeros(P)
-    extra = {k: kw[k] for k in ("drifts", "truncation") if k in kw}
+    drifts = kw.get("drifts")
     with np.errstate(all="ignore"):
         expect, expect_clamps = _reference_scan(
-            topology, start, inc, gamma, grid.dt, cap, fixed, **extra
+            topology, start, inc, gamma, grid.dt, cap, fixed, drifts
         )
     states = []
 
     def scan():
         return ensemble_scan(
             topology, start, inc, gamma, grid.dt, cap, barriers=fixed,
+            drifts=drifts,
             observe=lambda i, vals: states.extend(v.T.copy() for v in vals),
-            **extra,
         )
 
     bad = ~np.isfinite(expect)
@@ -401,6 +368,8 @@ def test_escape_bound_arithmetic():
     assert b == pytest.approx(0.01533, abs=5e-6)
     with pytest.raises(DomainError):
         escape_probability_bound(0.0, 1.0, 1.0, 1.0)
+    with pytest.raises(DomainError):
+        escape_probability_bound(0.1, 1.0, np.nan, 1.0)
 
 
 def test_scan_non_finite_guard():
@@ -656,10 +625,9 @@ _STACKED_CASES = {
         Topology([1, -1, -1], [2, -1, -1]), [4.0, 32.0], 0.8,
         {"barriers": np.stack([-_T - 0.05, _T * _T + 0.05])},
     ),
-    "truncated-drifts": (
+    "triangle3-drifts": (
         Topology.triangle(3), [2.0, 8.0], None,
-        {"drifts": [0.3, -0.2, -0.2, 0.1, 0.1, 0.1],
-         "truncation": [0.05, 0.1, 0.1, 0.2, 0.2, 0.2]},
+        {"drifts": [0.3, -0.2, -0.2, 0.1, 0.1, 0.1]},
     ),
 }
 

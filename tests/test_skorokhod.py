@@ -174,8 +174,9 @@ def test_smoothing_converges_in_gamma():
 
 def test_smoothing_rejects_bad_gamma():
     grid = TimeGrid(0.0, 1.0, 10)
-    with pytest.raises(ValueError):
-        smoothed_reflection_term(SamplePath.constant(grid, 0.0), 0.0)
+    for gamma in [0.0, -1.0, np.nan, np.inf]:
+        with pytest.raises(ValueError, match="gamma"):
+            smoothed_reflection_term(SamplePath.constant(grid, 0.0), gamma)
 
 
 @settings(max_examples=50, deadline=None)
