@@ -6,12 +6,18 @@ optimize.  Parameters come from flags or from a JSON document passed via
 output embeds the resolved configuration as a `# config=...` header so any
 run can be reproduced from its own output.  Exit codes: 0 success, 1
 validation or usage error, 2 runtime error.
+
+Every output, to stdout or --out, has one layout, written by
+model._write_csv: the `# config=` line, any other `# ` comment lines, the
+CSV header, one row per line with each float as its repr, then the
+`# key=value` summary lines.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import functools
 import json
 import sys
@@ -26,10 +32,10 @@ from .model import (
     TimeGrid,
     TriangularConfiguration,
     _float_rows,
+    _write_csv,
     bundle_from_csv,
     bundle_to_csv,
     configuration_from_csv,
-    tri_indices,
     tri_size,
 )
 from .noise import ensemble_increments
@@ -143,15 +149,10 @@ def _cmd_simulate(args) -> int:
     reps = range(args.replicate, args.replicate + 1)
     noise = ensemble_increments(args.seed, reps, grid, tri_size(args.n))[0]
     result = simulate(config, grid, noise)
+    comments = [f"config={_resolved(args)}",
+                f"seed={args.seed} replicate={args.replicate}"]
     with _output(args.out) as f:
-        bundle_to_csv(
-            f,
-            result.bundle,
-            comments=[
-                f"config={_resolved(args)}",
-                f"seed={args.seed} replicate={args.replicate}",
-            ],
-        )
+        bundle_to_csv(f, result.bundle, comments)
         f.write(f"# clamps={result.clamp_events}\n")
     return 0
 
@@ -167,23 +168,15 @@ def _cmd_rate(args) -> int:
         else default_coincidence_eps(bundle.grid.dt, args.gamma)
     )
     breakdown = total_rate(bundle, config, eps, args.convention)
+    header = ("particle,interior,upper_coincident,lower_coincident,"
+              "upper_measure,lower_measure,both_measure,reason,total")
+    rows = [[f"T_{n}_{k}", *dataclasses.astuple(t), t.total]
+            for (n, k), t in breakdown.terms.items()]
+    footer = [f"total={breakdown.total!r}"]
+    if breakdown.infinity_reason != "none":
+        footer.append(f"reason={breakdown.infinity_reason}")
     with _output(args.out) as f:
-        f.write(f"# config={_resolved(args)}\n")
-        f.write(
-            "particle,interior,upper_coincident,lower_coincident,"
-            "upper_measure,lower_measure,both_measure,reason,total\n"
-        )
-        for idx in tri_indices(bundle.N):
-            t = breakdown.terms[idx]
-            f.write(
-                f"T_{idx.n}_{idx.k},{t.interior!r},{t.upper_coincident!r},"
-                f"{t.lower_coincident!r},{t.upper_measure!r},"
-                f"{t.lower_measure!r},{t.both_measure!r},{t.reason},"
-                f"{t.total!r}\n"
-            )
-        f.write(f"# total={breakdown.total!r}\n")
-        if breakdown.infinity_reason != "none":
-            f.write(f"# reason={breakdown.infinity_reason}\n")
+        _write_csv(f, header, rows, [f"config={_resolved(args)}"], footer)
     return 0
 
 
@@ -192,13 +185,11 @@ def _cmd_reflect(args) -> int:
     barrier = _read_path_csv(args.barrier)
     op = reflect_above if args.side == "above" else reflect_below
     result = op(driver, barrier, args.start)
+    cols = [driver.grid.times, result.path.values, result.push_term.values,
+            result.active.astype(int)]
     with _output(args.out) as f:
-        f.write(f"# config={_resolved(args)}\n")
-        f.write("t,path,push,active\n")
-        cols = [driver.grid.times, result.path.values,
-                result.push_term.values, result.active.astype(int)]
-        f.write("".join(",".join(map(repr, row)) + "\n"
-                        for row in zip(*(c.tolist() for c in cols))))
+        _write_csv(f, "t,path,push,active", zip(*(c.tolist() for c in cols)),
+                   [f"config={_resolved(args)}"])
     return 0
 
 
@@ -226,19 +217,15 @@ def _cmd_slope(args) -> int:
         args.samples,
         args.seed,
     )
+    header = ("gamma,p_hat,ci_low,ci_high,minus_log_p,per_gamma_slope,"
+              "contamination")
+    rows = [[g, r.p_hat, float(r.ci_low), float(r.ci_high), mlp, s,
+             r.clamp_contamination] for g, mlp, s, r in zip(
+        fit.gammas.tolist(), fit.minus_log_p.tolist(),
+        fit.per_gamma_slope.tolist(), fit.results)]
+    footer = [f"slope={fit.slope!r} predicted={fit.predicted_rate!r}"]
     with _output(args.out) as f:
-        f.write(f"# config={_resolved(args)}\n")
-        f.write("gamma,p_hat,ci_low,ci_high,minus_log_p,per_gamma_slope,"
-                "contamination\n")
-        for g, mlp, s, r in zip(
-            fit.gammas, fit.minus_log_p, fit.per_gamma_slope, fit.results
-        ):
-            f.write(
-                f"{float(g)!r},{r.p_hat!r},{float(r.ci_low)!r},"
-                f"{float(r.ci_high)!r},{float(mlp)!r},{float(s)!r},"
-                f"{r.clamp_contamination!r}\n"
-            )
-        f.write(f"# slope={fit.slope!r} predicted={fit.predicted_rate!r}\n")
+        _write_csv(f, header, rows, [f"config={_resolved(args)}"], footer)
     return 0
 
 
@@ -247,16 +234,12 @@ def _cmd_interlace(args) -> int:
         args.gammas, args.samples, args.seed, dt=args.dt,
         margin_scale=args.margin_scale,
     )
+    header = "gamma,a_violation,b_violation,c_violation,contamination"
+    rows = [[r.gamma, r.a_violation, r.b_violation, r.c_violation,
+             r.clamp_contamination] for r in freqs]
+    footer = [f"worst_a_violation={max(r.a_violation for r in freqs)!r}"]
     with _output(args.out) as f:
-        f.write(f"# config={_resolved(args)}\n")
-        f.write("gamma,a_violation,b_violation,c_violation,contamination\n")
-        for r in freqs:
-            f.write(
-                f"{r.gamma!r},{r.a_violation!r},{r.b_violation!r},"
-                f"{r.c_violation!r},{r.clamp_contamination!r}\n"
-            )
-        worst = max(r.a_violation for r in freqs)
-        f.write(f"# worst_a_violation={worst!r}\n")
+        _write_csv(f, header, rows, [f"config={_resolved(args)}"], footer)
     return 0
 
 
@@ -266,20 +249,14 @@ def _cmd_equivalence(args) -> int:
         equivalence_experiment(g, args.eta, grid, args.samples, args.seed)
         for g in args.gammas
     ]
+    header = ("gamma,eta,budget,n_in_tube,n_violations,violation_fraction,"
+              "max_gap_in_tube")
+    rows = [[r.gamma, r.eta, r.budget, r.n_in_tube, r.n_violations,
+             r.violation_fraction, r.max_gap_in_tube] for r in reports]
+    worst = max(r.violation_fraction for r in reports)
     with _output(args.out) as f:
-        f.write(f"# config={_resolved(args)}\n")
-        f.write(
-            "gamma,eta,budget,n_in_tube,n_violations,violation_fraction,"
-            "max_gap_in_tube\n"
-        )
-        for r in reports:
-            f.write(
-                f"{r.gamma!r},{r.eta!r},{r.budget!r},{r.n_in_tube},"
-                f"{r.n_violations},{r.violation_fraction!r},"
-                f"{r.max_gap_in_tube!r}\n"
-            )
-        worst = max(r.violation_fraction for r in reports)
-        f.write(f"# worst_violation_fraction={worst!r}\n")
+        _write_csv(f, header, rows, [f"config={_resolved(args)}"],
+                   [f"worst_violation_fraction={worst!r}"])
     return 0
 
 
@@ -298,11 +275,7 @@ def _cmd_optimize(args) -> int:
     )
     result = minimize_rate(problem, args.convention)
     with _output(args.out) as f:
-        bundle_to_csv(
-            f,
-            result.bundle,
-            comments=[f"config={_resolved(args)}"],
-        )
+        bundle_to_csv(f, result.bundle, [f"config={_resolved(args)}"])
         f.write(
             f"# rate={result.rate!r} baseline={result.baseline_rate!r} "
             f"iterations={result.iterations} converged={result.converged}\n"
@@ -325,6 +298,7 @@ def _build_parser() -> tuple[_Parser, dict]:
     def sub(name, func, **kwargs):
         p = subs.add_parser(name, **kwargs)
         p.add_argument("--config", help="JSON config file; flags override")
+        p.add_argument("--out", help="output CSV (default stdout)")
         p.set_defaults(func=func)
         registry[name] = p
         return p
@@ -339,7 +313,6 @@ def _build_parser() -> tuple[_Parser, dict]:
     p.add_argument("--replicate", type=int, default=0)
     p.add_argument("--drift-cap", type=float, default=None)
     p.add_argument("--init", help="initial configuration CSV")
-    p.add_argument("--out", help="output CSV (default stdout)")
 
     p = sub("rate", _cmd_rate, help="score a bundle CSV against the action")
     p.add_argument("--bundle", required=True)
@@ -349,14 +322,12 @@ def _build_parser() -> tuple[_Parser, dict]:
     p.add_argument(
         "--convention", choices=["lemma", "theorem"], default=LEMMA
     )
-    p.add_argument("--out")
 
     p = sub("reflect", _cmd_reflect, help="one-sided reflection, CSV in/out")
     p.add_argument("--driver", required=True)
     p.add_argument("--barrier", required=True)
     p.add_argument("--start", type=float, default=0.0)
     p.add_argument("--side", choices=["above", "below"], default="above")
-    p.add_argument("--out")
 
     p = sub("slope", _cmd_slope, help="small-ball decay slope over gamma")
     p.add_argument("--n", type=int, default=1)
@@ -375,7 +346,6 @@ def _build_parser() -> tuple[_Parser, dict]:
         default=0.5,
         help="linear target slope when no --bundle is given",
     )
-    p.add_argument("--out")
 
     p = sub(
         "interlace",
@@ -387,7 +357,6 @@ def _build_parser() -> tuple[_Parser, dict]:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--dt", type=float, default=1e-4)
     p.add_argument("--margin-scale", type=float, default=1.0)
-    p.add_argument("--out")
 
     p = sub(
         "equivalence",
@@ -401,7 +370,6 @@ def _build_parser() -> tuple[_Parser, dict]:
     p.add_argument("--dt", type=float, default=1e-3)
     p.add_argument("--t0", type=float, default=0.0)
     p.add_argument("--t1", type=float, default=1.0)
-    p.add_argument("--out")
 
     p = sub("optimize", _cmd_optimize, help="most-likely path between endpoints")
     p.add_argument("--init", required=True)
@@ -413,7 +381,6 @@ def _build_parser() -> tuple[_Parser, dict]:
     p.add_argument(
         "--convention", choices=["lemma", "theorem"], default=LEMMA
     )
-    p.add_argument("--out")
 
     return parser, registry
 

@@ -64,7 +64,7 @@ class EmptySampleError(ValueError):
 
 
 class DegenerateFitError(RuntimeError):
-    """Fewer than two gamma points with nonzero hit counts."""
+    """Fewer than two distinct gamma points with nonzero hit counts."""
 
 
 def wilson_interval(hits: int, n: int):
@@ -375,8 +375,8 @@ def ldp_slope(
     attached for comparison.
     """
     gammas = np.asarray(sorted(gammas), dtype=float)
-    if gammas.size < 3:
-        raise ValueError("need at least three gamma values")
+    if np.unique(gammas).size < 3:
+        raise ValueError(f"need three distinct gammas, got {gammas.tolist()}")
     results = _smallball(
         config, gammas.tolist(), phi, delta, n_samples, seed, batch_size,
         n_workers,
@@ -386,9 +386,9 @@ def ldp_slope(
         mlp = -np.log(p)
     per_gamma = mlp / gammas
     usable = np.isfinite(mlp)
-    if np.count_nonzero(usable) < 2:
+    if np.unique(gammas[usable]).size < 2:
         raise DegenerateFitError(
-            "fewer than two gamma points with nonzero hits"
+            "fewer than two distinct gammas with nonzero hits"
         )
     slope, intercept = np.polyfit(gammas[usable], mlp[usable], 1)
     eps = default_coincidence_eps(phi.grid.dt, float(np.min(gammas)))
@@ -411,9 +411,10 @@ def ldp_slope(
 _FOUR_PARTICLE = Topology.triangle(3).restrict(
     [tri_offset(1, 1), tri_offset(2, 1), tri_offset(2, 2), tri_offset(3, 2)]
 )
-# (hi, lo) rows of the watched gaps T+ - T0, T0 - T-, T+ - T, T - T-, T+ - T-:
-# A reads the first two, B the next two, C the last
-_GAP_HI, _GAP_LO = [1, 0, 1, 3, 1], [0, 2, 3, 2, 2]
+# (hi, lo) rows of the watched gaps: the order relations T+ - T0, T0 - T-,
+# T+ - T, T - T- (A reads the first two, B the next two), then the
+# same-level gap T+ - T- that C reads
+_GAP_HI, _GAP_LO = zip(*_FOUR_PARTICLE.relations, (1, 2))
 
 
 @dataclass(frozen=True)

@@ -455,11 +455,17 @@ def _bundle_header(N: int) -> str:
 
 def bundle_to_csv(f, bundle: PathBundle, comments: list[str] | None = None) -> None:
     """Write a bundle to a text file object.  Comment lines start with '#'."""
-    for line in comments or []:
-        f.write(f"# {line}\n")
-    f.write(_bundle_header(bundle.N) + "\n")
     table = np.column_stack([bundle.grid.times, bundle.values.T]).tolist()
-    f.write("".join(",".join(map(repr, row)) + "\n" for row in table))
+    _write_csv(f, _bundle_header(bundle.N), table, comments or ())
+
+
+def _write_csv(f, header: str, rows, comments=(), footer=()) -> None:
+    """Write to text file f the `# ` comment lines, the header, each row as
+    its values' str joined by commas, then the `# ` footer lines.  Rows hold
+    Python scalars, so a float is written as its repr: exact on reread."""
+    f.write("".join(f"# {line}\n" for line in comments) + header + "\n")
+    f.write("".join(",".join(map(str, row)) + "\n" for row in rows))
+    f.write("".join(f"# {line}\n" for line in footer))
 
 
 def _float_rows(f, ncols: int | None = None, skip=("#",)):
@@ -511,15 +517,15 @@ def bundle_from_csv(f) -> PathBundle:
 
 
 def configuration_to_csv(f, config: TriangularConfiguration) -> None:
-    cols = [f"T_{n}_{k}" for n, k in tri_indices(config.N)]
-    f.write(",".join(cols) + "\n")
-    f.write(",".join(repr(float(v)) for v in config.entries) + "\n")
+    header = _bundle_header(config.N).removeprefix("t,")
+    _write_csv(f, header, [config.entries.tolist()])
 
 
 def configuration_from_csv(f) -> TriangularConfiguration:
     header, rows = _float_rows(f)
-    if not len(rows):
-        raise ValueError("configuration CSV needs a header and one data row")
+    if len(rows) != 1:
+        raise ValueError("configuration CSV needs a header and one data row, "
+                         f"found {len(rows)} data rows")
     P = len(header)
     N = int((np.sqrt(8 * P + 1) - 1) / 2)
     if tri_size(N) != P:

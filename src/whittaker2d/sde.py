@@ -458,7 +458,14 @@ def escape_probability_bound(C0: float, C: float, L: float, T: float) -> float:
 
     Uses C1 = 1 + 2 exp(C - 1), the analytic supremum of 1 + 2 t e^{C-t},
     and G = C0^2 T + C1^2 T^2 / 2; the bound is G / (L^2 - C1 T - C0^2).
+    T must be positive, C nonnegative, and all four finite.
     """
+    if not (0 < T < np.inf and 0 <= C < np.inf
+            and np.isfinite(C0) and np.isfinite(L)):
+        raise DomainError(
+            f"need finite C0, L, T > 0 and C >= 0, got C0={C0}, C={C}, "
+            f"L={L}, T={T}"
+        )
     C1 = 1.0 + 2.0 * np.exp(C - 1.0)
     G = C0 * C0 * T + 0.5 * C1 * C1 * T * T
     denom = L * L - C1 * T - C0 * C0

@@ -5,7 +5,21 @@ import json
 import numpy as np
 import pytest
 
-from whittaker2d import SamplePath, TimeGrid, bundle_from_csv, reflect_above
+from whittaker2d import (
+    ModelConfig,
+    PathBundle,
+    SamplePath,
+    TimeGrid,
+    TriangularConfiguration,
+    bundle_from_csv,
+    bundle_to_csv,
+    default_coincidence_eps,
+    equivalence_experiment,
+    interlace_event_frequency,
+    ldp_slope,
+    reflect_above,
+    total_rate,
+)
 from whittaker2d.cli import _build_parser, main
 
 
@@ -121,6 +135,110 @@ def test_reflect_output_is_per_value_repr(tmp_path, capsys):
         for x, p, q, a in zip(t, want.path.values, want.push_term.values,
                               want.active)
     ]
+
+
+def _field(value) -> str:
+    """value as a table writes it: a float by its repr, which parses back
+    exactly, an int without a trailing .0 and a string without quotes."""
+    if isinstance(value, str):
+        return value
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    return repr(float(value))
+
+
+def _check_table(out, header, rows, summary):
+    """out is the `# config=` line, header, one line per row, then the
+    `# key=value` summary lines, each field as _field writes it."""
+    lines = out.splitlines()
+    assert lines[0].startswith("# config=")
+    assert lines[1] == header
+    assert lines[2:] == [",".join(map(_field, row)) for row in rows] + [
+        "# " + " ".join(f"{k}={_field(v)}" for k, v in line)
+        for line in summary
+    ]
+
+
+def test_table_formats_match_the_library(tmp_path, capsys):
+    # rate on a bundle whose T_2_1 crosses below T_1_1: an inf total and a
+    # reason; slope, interlace and equivalence with small sample sizes
+    grid = TimeGrid(0.0, 1.0, 10)
+    t = grid.times
+    bundle = PathBundle(2, grid, np.array([0.5 * t, -t, -2.0 * t]))
+    path = tmp_path / "crossing.csv"
+    with open(path, "w") as f:
+        bundle_to_csv(f, bundle)
+    code, out, _ = run(["rate", "--bundle", str(path)], capsys)
+    assert code == 0
+    config = ModelConfig(N=2, gamma=8.0,
+                         initial=TriangularConfiguration.zeros(2))
+    rate = total_rate(bundle, config, default_coincidence_eps(grid.dt, 8.0))
+    assert rate.infinity_reason == "crossing"
+    _check_table(
+        out,
+        "particle,interior,upper_coincident,lower_coincident,upper_measure,"
+        "lower_measure,both_measure,reason,total",
+        [[f"T_{n}_{k}", r.interior, r.upper_coincident, r.lower_coincident,
+          r.upper_measure, r.lower_measure, r.both_measure, r.reason,
+          r.total] for (n, k), r in rate.terms.items()],
+        [[("total", rate.total)], [("reason", rate.infinity_reason)]],
+    )
+
+    code, out, _ = run(
+        ["slope", "--samples", "400", "--gammas", "2,4,8", "--dt", "0.02",
+         "--delta", "1.0", "--target-slope", "0.0"],
+        capsys,
+    )
+    assert code == 0
+    grid = TimeGrid.from_dt(0.0, 1.0, 0.02)
+    phi = PathBundle.constant(1, grid, TriangularConfiguration.zeros(1))
+    fit = ldp_slope(ModelConfig(N=1, gamma=2.0, initial=phi.initial), phi,
+                    1.0, [2.0, 4.0, 8.0], 400, 0)
+    _check_table(
+        out,
+        "gamma,p_hat,ci_low,ci_high,minus_log_p,per_gamma_slope,"
+        "contamination",
+        [[g, r.p_hat, r.ci_low, r.ci_high, m, s, r.clamp_contamination]
+         for g, m, s, r in zip(fit.gammas, fit.minus_log_p,
+                               fit.per_gamma_slope, fit.results)],
+        [[("slope", fit.slope), ("predicted", fit.predicted_rate)]],
+    )
+
+    code, out, _ = run(
+        ["interlace", "--samples", "200", "--gammas", "4,64", "--dt", "0.01",
+         "--margin-scale", "0.05"],
+        capsys,
+    )
+    assert code == 0
+    freqs = interlace_event_frequency([4.0, 64.0], 200, 0, dt=0.01,
+                                      margin_scale=0.05)
+    _check_table(
+        out,
+        "gamma,a_violation,b_violation,c_violation,contamination",
+        [[r.gamma, r.a_violation, r.b_violation, r.c_violation,
+          r.clamp_contamination] for r in freqs],
+        [[("worst_a_violation", max(r.a_violation for r in freqs))]],
+    )
+
+    code, out, _ = run(
+        ["equivalence", "--samples", "200", "--gammas", "1,32", "--dt",
+         "0.01"],
+        capsys,
+    )
+    assert code == 0
+    grid = TimeGrid.from_dt(0.0, 1.0, 0.01)
+    reports = [equivalence_experiment(g, 0.5, grid, 200, 0)
+               for g in (1.0, 32.0)]
+    assert all(isinstance(r.n_in_tube, int) for r in reports)
+    _check_table(
+        out,
+        "gamma,eta,budget,n_in_tube,n_violations,violation_fraction,"
+        "max_gap_in_tube",
+        [[r.gamma, r.eta, r.budget, r.n_in_tube, r.n_violations,
+          r.violation_fraction, r.max_gap_in_tube] for r in reports],
+        [[("worst_violation_fraction",
+           max(r.violation_fraction for r in reports))]],
+    )
 
 
 @pytest.mark.parametrize(

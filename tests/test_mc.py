@@ -126,8 +126,9 @@ def test_contamination_marks_untrusted():
 def test_ldp_slope_requires_three_gammas():
     grid = TimeGrid(0.0, 1.0, 100)
     phi = _flat_target(1, grid)
-    with pytest.raises(ValueError):
-        ldp_slope(_cfg(1, 4.0), phi, 0.5, [4.0, 8.0], 100, seed=1)
+    for gammas in ([4.0, 8.0], [4.0, 4.0, 8.0]):
+        with pytest.raises(ValueError):
+            ldp_slope(_cfg(1, 4.0), phi, 0.5, gammas, 100, seed=1)
 
 
 def test_ldp_slope_degenerate_when_no_hits():
@@ -138,6 +139,12 @@ def test_ldp_slope_degenerate_when_no_hits():
     )
     with pytest.raises(DegenerateFitError):
         ldp_slope(_cfg(1, 4.0), far, 0.1, [4.0, 8.0, 16.0], 50, seed=1)
+    # hits only at the repeated gamma=2: no line through a single gamma
+    rise = PathBundle.linear(1, grid, TriangularConfiguration.zeros(1),
+                             TriangularConfiguration(1, np.array([1.0])))
+    with pytest.raises(DegenerateFitError):
+        ldp_slope(_cfg(1, 2.0), rise, 0.5, [2.0, 2.0, 500.0, 1000.0], 100,
+                  seed=1)
 
 
 def test_ldp_slope_sentinel_and_fit():

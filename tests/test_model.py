@@ -319,6 +319,13 @@ def test_configuration_csv_round_trip():
     np.testing.assert_array_equal(back.entries, cfg.entries)
 
 
+def test_configuration_csv_rejects_extra_rows():
+    with pytest.raises(ValueError, match="found 2 data rows"):
+        configuration_from_csv(io.StringIO("T_1_1\n0.5\n0.7\n"))
+    with pytest.raises(ValueError, match="found 0 data rows"):
+        configuration_from_csv(io.StringIO("T_1_1\n"))
+
+
 def test_bundle_slices():
     grid = TimeGrid(0.0, 1.0, 2)
     start = TriangularConfiguration(2, np.array([0.0, 1.0, -1.0]))

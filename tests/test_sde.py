@@ -370,6 +370,14 @@ def test_escape_bound_arithmetic():
         escape_probability_bound(0.0, 1.0, 1.0, 1.0)
     with pytest.raises(DomainError):
         escape_probability_bound(0.1, 1.0, np.nan, 1.0)
+    # a horizon that is not positive, a negative barrier bound, or anything
+    # non-finite is refused before the arithmetic
+    for args in [(0.0, 1.0, 10.0, -1.0), (0.0, -5.0, 10.0, 1.0),
+                 (0.0, 1.0, 10.0, 0.0), (0.0, 1.0, 10.0, np.inf),
+                 (0.0, np.inf, 10.0, 1.0), (np.nan, 1.0, 10.0, 1.0),
+                 (0.0, 1.0, np.inf, 1.0)]:
+        with pytest.raises(DomainError):
+            escape_probability_bound(*args)
 
 
 def test_scan_non_finite_guard():
