@@ -8,8 +8,13 @@ tiling rule (_tiled) cuts each batch that is wide enough into contiguous
 tiles of replicates, scored by the calling thread and one module-level
 thread pool on the usable cores: the free particle's tiles are cache-sized
 paths, and every other tile draws its own noise stream and runs its own
-ensemble_scan, while a narrow batch runs as one inline scan.
-smallball_probability, ldp_slope (in its per-gamma results) and
+ensemble_scan, while a narrow batch runs as one inline scan.  Each scan's
+states are reduced to per-replicate extremes as they are stepped: by an
+observer of |T - phi| for the small-ball estimators, and for
+interlace_event_frequency and equivalence_experiment from the least gap of
+each order relation that ensemble_scan reports, with an observer only of the
+one gap that is no relation (T+ - T- for event C, |twin - full| for the
+coupling).  smallball_probability, ldp_slope (in its per-gamma results) and
 interlace_event_frequency report the fraction of replicates whose drift was
 clamped; only EstimatorResult, the result of the first two, flags more than
 CONTAMINATION_LIMIT (1%) of them as not trusted.  equivalence_experiment
@@ -407,14 +412,13 @@ def ldp_slope(
 # ---------------------------------------------------------------------------
 # almost-interlaced event frequencies (four-particle system)
 
-# T0, T+, T-, T are the triangle's (1,1), (2,1), (2,2) and (3,2)
+# T0, T+, T-, T are the triangle's (1,1), (2,1), (2,2) and (3,2); its
+# relations are T+ - T0, T0 - T-, T+ - T and T - T-, in that order: A reads
+# the least of the first two, B of the next two.  C reads the same-level gap
+# T+ - T-, which is no relation, so it is observed
 _FOUR_PARTICLE = Topology.triangle(3).restrict(
     [tri_offset(1, 1), tri_offset(2, 1), tri_offset(2, 2), tri_offset(3, 2)]
 )
-# (hi, lo) rows of the watched gaps: the order relations T+ - T0, T0 - T-,
-# T+ - T, T - T- (A reads the first two, B the next two), then the
-# same-level gap T+ - T- that C reads
-_GAP_HI, _GAP_LO = zip(*_FOUR_PARTICLE.relations, (1, 2))
 
 
 @dataclass(frozen=True)
@@ -422,7 +426,10 @@ class InterlaceFrequencies:
     """Violation frequencies of the slack-interlacing events at one gamma.
 
     Margins: A uses f = 1/sqrt(gamma) on (T+ - T0) and (T0 - T-), B uses
-    2g = 4f on (T+ - T) and (T - T-), C uses g = 2f on (T+ - T-).
+    2g = 4f on (T+ - T) and (T - T-), C uses g = 2f on (T+ - T-).  A and B
+    read the least gap of each order relation that the scan reports, C the
+    least same-level gap that its observer keeps; each is taken over every
+    grid index.
     """
 
     gamma: float
@@ -464,32 +471,34 @@ def interlace_event_frequency(
     bad = np.zeros((4, gammas.size), dtype=int)
 
     def score(tile):
-        mins = np.full((len(_GAP_HI), gammas.size * len(tile)), np.inf)
-        buf = np.empty((0, mins.shape[1]))
+        # (relation, gamma, replicate)
+        least = np.empty((len(_FOUR_PARTICLE.relations), gammas.size,
+                          len(tile)))
+        c_min = np.full(gammas.size * len(tile), np.inf)
+        buf = np.empty((0, c_min.size))
 
         def observe(i0, block):
-            # one gap at a time into a buffer kept across chunks
+            # T+ - T- into a buffer kept across chunks
             nonlocal buf
             if len(buf) < len(block):
                 buf = np.empty(block[:, 0].shape)
             gap = buf[: len(block)]
-            for row, hi, lo in zip(mins, _GAP_HI, _GAP_LO):
-                np.subtract(block[:, hi], block[:, lo], out=gap)
-                np.minimum(row, gap.min(axis=0), out=row)
+            np.subtract(block[:, 1], block[:, 2], out=gap)
+            np.minimum(c_min, gap.min(axis=0), out=c_min)
 
         clamps = ensemble_scan(
             _FOUR_PARTICLE, np.zeros(4), IncrementStream(seed, tile, grid, 4),
-            gammas, grid.dt, None, observe=observe,
+            gammas, grid.dt, None, observe=observe, least_gap=least,
         )
-        # (gap, gamma, replicate)
-        return mins.reshape(-1, *clamps.shape), clamps
+        return least, c_min.reshape(clamps.shape), clamps
 
     for reps in _batches(n_samples, batch_size):
-        m, clamps = _tiled(score, reps, grid.steps * 4 * 8, gammas.size * 4)
+        m, c_min, clamps = _tiled(score, reps, grid.steps * 4 * 8,
+                                  gammas.size * 4)
         bad += [
             np.count_nonzero(np.min(m[0:2], axis=0) < -f_col, axis=1),
             np.count_nonzero(np.min(m[2:4], axis=0) < -2 * g_col, axis=1),
-            np.count_nonzero(m[4] < -g_col, axis=1),
+            np.count_nonzero(c_min < -g_col, axis=1),
             np.count_nonzero(clamps > 0, axis=1),
         ]
     return [
@@ -513,6 +522,7 @@ def interlace_event_frequency(
 _EQUIVALENCE_BATCH = 2000  # replicates per equivalence_experiment batch
 # rows: the two-barrier particle, its lower-barrier twin, lower, upper
 _COUPLING = Topology([2, 2, -1, -1], [3, -1, -1, -1])
+_CLEARANCE = _COUPLING.relations.index((3, 0))  # upper - the particle
 
 
 @dataclass(frozen=True)
@@ -543,8 +553,9 @@ def equivalence_experiment(
     the two moving rows of one tamed Euler scan under identical noise, so
     the observed gap isolates the dynamics difference; only per-replicate
     maxima are kept.  A replicate is in-tube when its two-barrier path keeps
-    clearance eta below the upper barrier throughout; for those replicates
-    the sup gap must not exceed exp(-gamma*eta/2) * (b-a).
+    clearance eta below the upper barrier throughout, read from the least
+    gap of that relation that the scan reports; for those replicates the
+    sup gap must not exceed exp(-gamma*eta/2) * (b-a).
     """
     if n_samples <= 0:
         raise EmptySampleError("n_samples must be positive")
@@ -557,18 +568,17 @@ def equivalence_experiment(
     in_tube, violations, max_gap = 0, 0, 0.0
     for reps in _batches(n_samples, _EQUIVALENCE_BATCH):
         inc = ensemble_increments(seed, reps, grid, 1)
-        # per replicate: max of the two-barrier path and max |twin - full|
-        top, gap = np.full(len(reps), -np.inf), np.zeros(len(reps))
+        # per replicate: each relation's least gap and max |twin - full|
+        least = np.empty((len(_COUPLING.relations), len(reps)))
+        gap = np.zeros(len(reps))
 
         def observe(i0, block):
-            np.maximum(top, block[:, 0].max(0), out=top)
             np.maximum(gap, np.abs(block[:, 1] - block[:, 0]).max(0), out=gap)
 
         pair = np.broadcast_to(inc, (len(reps), 2, grid.steps))
         ensemble_scan(_COUPLING, np.zeros(2), pair, gamma, grid.dt, None,
-                      barriers=barriers, observe=observe)
-        # rounding is monotone, so this is max(full - upper) exactly
-        tube = top - upper <= -eta
+                      barriers=barriers, observe=observe, least_gap=least)
+        tube = least[_CLEARANCE] >= eta
         in_tube += int(np.count_nonzero(tube))
         violations += int(np.count_nonzero(tube & (gap > budget)))
         max_gap = max(max_gap, float(gap[tube].max(initial=0.0)))

@@ -530,4 +530,7 @@ def configuration_from_csv(f) -> TriangularConfiguration:
     N = int((np.sqrt(8 * P + 1) - 1) / 2)
     if tri_size(N) != P:
         raise ValueError(f"{P} columns is not a triangular count")
+    expected = _bundle_header(N).removeprefix("t,").split(",")
+    if header != expected:
+        raise ValueError(f"unexpected header {header}, want {expected}")
     return TriangularConfiguration(N, rows[0])

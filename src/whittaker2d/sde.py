@@ -130,6 +130,7 @@ def ensemble_scan(
     drifts=None,
     barriers=None,
     observe=None,
+    least_gap=None,
 ) -> np.ndarray:
     """Step an ensemble of replicates of the system wired by topology at
     one gamma or at several.
@@ -156,18 +157,28 @@ def ensemble_scan(
     The step is T <- T + dW / sqrt(gamma) + clamp(drift, +-cap) * dt, the
     whole state read at the start of the step and each exp's argument
     capped at 700.  A chunk is stepped with neither cap first, then again,
-    tamed, from its start state in each column where an edge's gamma * gap
-    passed min(log(cap - |a|), 700) of the row it pushes, rounded down past
-    log's and exp's rounding, or where a row's |a| reaches cap.  Below that
-    bound |drift| <= cap in floating point too (rounding is monotone), so
-    neither cap changes a value.  Steps run in chunks of k, sized so that
-    the chunk's scaled noise (k, P, G*R) and its states take about 512 KB
-    each, and of at most 256 steps, whose views are made once per call.
+    tamed, from its start state in each column where gamma times an edge's
+    largest gap over the chunk passed min(log(cap - |a|), 700) of the row it
+    pushes, rounded down past log's and exp's rounding, or where a row's |a|
+    reaches cap.  Rounding is monotone, so that product is the largest
+    gamma * gap of the chunk, and below the bound |drift| <= cap in floating
+    point too: neither cap changes a value.  Steps run in chunks of k,
+    sized so that the chunk's scaled noise (k, P, G*R) and its states take
+    about 512 KB each, and of at most 256 steps, whose views are made once
+    per call.
     observe(i0, block) gets the moving rows' states at grid indices i0 ..
     i0+k-1, a (k, P, G*R) view that the next chunk overwrites: once for
     i0 = 0, then once per chunk.  A non-finite state raises NonFiniteError
-    at its first step and particle before its chunk is observed.  Returns
-    the per-replicate clamp-event counts, shape np.shape(gamma) + (R,).
+    at its first step and particle before its chunk is observed.
+
+    least_gap, if given, is an array of shape (len(topology.relations),) +
+    np.shape(gamma) + (R,).  It receives, for each relation (hi, lo) of
+    topology.relations in that order, each column's least T[hi] - T[lo]
+    over grid indices 0 .. M, start and end included: the least of the gaps
+    the step forms for its drift, taken from the tamed states in re-stepped
+    columns, so it equals the least rounded difference of the states that
+    observe sees.  Every relation must bound a moving row.  Returns the
+    per-replicate clamp-event counts, shape np.shape(gamma) + (R,).
     """
     R, P, M = noise.shape
     F = 0 if barriers is None else barriers.shape[0]
@@ -200,6 +211,20 @@ def ensemble_scan(
     dn_edge = np.full(P, E)
     dn_edge[pushed_dn] = n_up + np.arange(n_dn)
     pushes = np.concatenate([up_edge, dn_edge])
+    if least_gap is not None:
+        # relation (h, l) is the edge (l, h), its gap negated: exactly, as
+        # fl(a - b) = -fl(b - a) up to the sign of a zero
+        edge_of = {pair: e for e, pair in enumerate(zip(hi.tolist(),
+                                                          lo.tolist()))}
+        try:
+            rel_edge = [edge_of[low, high] for high, low in topology.relations]
+        except KeyError:
+            raise ValueError(
+                "least_gap needs every relation to bound a moving row"
+            ) from None
+        if np.shape(least_gap) != (len(rel_edge),) + gam.shape + (R,):
+            raise ValueError("least_gap must hold one value per relation, "
+                             "gamma and replicate")
     base = None if drifts is None else np.reshape(drifts, (P, 1))
     a = np.zeros((P, 1)) if base is None else np.abs(base)
     # NaN or a headroom <= 0 fails every comparison with the bound
@@ -225,7 +250,11 @@ def ensemble_scan(
     else:
         W, windows = M, [noise.transpose(0, 2, 1)]
     block, dW = np.empty((K + 1, P + F, GR)), np.empty((K, P, GR))
-    ghist = np.empty((K, E, GR))  # gamma * gap at each step of the chunk
+    ghist = np.empty((K, E, GR))  # each edge's gap at each step of the chunk
+    # each edge's largest gap over the chunk, its product with gamma, and
+    # its largest over the chunks so far
+    most, scaled = np.empty((E, GR)), np.empty((E, GR))
+    top = None if least_gap is None else np.full((E, GR), -np.inf)
     clamps = np.zeros(GR, dtype=int)
     # out goes positionally, except to np.minimum and np.maximum (deprecated)
     add, sub, mul, exp = np.add, np.subtract, np.multiply, np.exp
@@ -235,12 +264,13 @@ def ensemble_scan(
                 for j in range(len(ghist))]
 
     def run(views, g_row, caps=None):
-        """Step views, writing gamma * gap to each one's last entry: untamed,
-        or tamed by caps and then returning each column's clamp events."""
+        """Step views, writing each edge's gap to each one's last entry:
+        untamed, or tamed by caps and then returning each column's clamp
+        events."""
         cols = g_row.shape[1]
         both, push = np.empty((2 * E, cols)), np.zeros((E + 1, cols))
         rows = np.empty((2 * P, cols))
-        gap, far, push_e = both[:E], both[E:], push[:E]
+        near, far, push_e = both[:E], both[E:], push[:E]
         drift, down = rows[:P], rows[P:]
         if caps is not None:
             lo, hits = -caps, np.empty((len(views), P, cols), dtype=bool)
@@ -248,11 +278,11 @@ def ensemble_scan(
             # the take method skips np.take's Python-level wrapper;
             # one call gathers both ends of every edge
             v.take(ends, 0, both, "clip")
-            sub(gap, far, gap)
-            mul(gap, g_row, g)
+            sub(near, far, g)
+            mul(g, g_row, far)  # far is spent: it takes gamma * gap
             if caps is not None:
-                np.minimum(g, exp_max, out=g)
-            exp(g, push_e)
+                np.minimum(far, exp_max, out=far)
+            exp(far, push_e)
             # and one call both pushes of every row
             push.take(pushes, 0, rows, "clip")
             if base is not None:
@@ -270,6 +300,8 @@ def ensemble_scan(
 
     views = step_views(block, dW, ghist)  # made once, reused by every chunk
     block[0, :P] = np.reshape(start, (P, 1))
+    if F:
+        block[0, P:] = barriers[:, :1]
     if observe is not None:
         observe(0, block[:1, :P])
     pending = None  # the draw of the next window, while one is running
@@ -299,15 +331,20 @@ def ensemble_scan(
                 run(views[:k], g_row)
                 # the columns that may have clamped or met the guard are
                 # stepped again, tamed, from the chunk's start state
-                fine = (ghist[:k].max(0) <= bound).all(0)
+                np.max(ghist[:k], axis=0, out=most)
+                mul(most, g_row, scaled)
+                fine = (scaled <= bound).all(0)
                 redo = np.flatnonzero(~(fine & untamed))
                 if redo.size:
                     part = block[: k + 1].take(redo, 2)
+                    hist = np.empty((k, E, redo.size))
                     clamps[redo] += run(
-                        step_views(part, dW[:k].take(redo, 2),
-                                   np.empty((k, E, redo.size))),
+                        step_views(part, dW[:k].take(redo, 2), hist),
                         g_row[:, redo], hi_cap[:, redo])
                     block[1 : k + 1, :P, redo] = part[1:, :P]
+                    most[:, redo] = hist.max(0)
+                if top is not None:
+                    np.maximum(top, most, out=top)
             states = block[1 : k + 1, :P]
             if not np.isfinite(states[-1]).all():
                 j, _, p = np.argwhere(
@@ -321,6 +358,13 @@ def ensemble_scan(
             # waits for a pending draw; the error raised is the one already
             # on its way
             drawer.shutdown()
+    if top is not None:
+        # the end state's gaps, formed as the step forms them
+        ends_now = block[0].take(ends, 0)
+        np.maximum(top, ends_now[:E] - ends_now[E:], out=top)
+        # 0 - max rather than -max, so that a zero gap reads +0.0, as the
+        # difference of two equal states does
+        least_gap[...] = (0.0 - top[rel_edge]).reshape(np.shape(least_gap))
     return clamps.reshape(gam.shape + (R,))
 
 

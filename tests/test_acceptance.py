@@ -40,6 +40,7 @@ from whittaker2d import (
     smoothed_reflection_term,
     solve_edge_exact,
     total_rate,
+    wilson_interval,
 )
 
 
@@ -47,6 +48,14 @@ def _report(number, ok, detail):
     status = "PASS" if ok else "FAIL"
     print(f"criterion {number}: {status} - {detail}")
     return ok
+
+
+def _upper_if_zero(count, n):
+    """After a zero count (or frequency) of n trials, the 95% Wilson upper
+    bound on the probability, which is all that a zero can claim."""
+    if count != 0 or n == 0:
+        return ""
+    return f" (Wilson upper {wilson_interval(0, n)[1]:.1e})"
 
 
 def _cfg(N, gamma, initial=None):
@@ -124,7 +133,8 @@ def test_criterion_3_exponential_equivalence_budget():
     _report(
         3,
         ok,
-        f"{rep.n_in_tube}/1000 replicates in tube, {rep.n_violations} "
+        f"{rep.n_in_tube}/1000 replicates in tube, {rep.n_violations}"
+        f"{_upper_if_zero(rep.n_violations, rep.n_in_tube)} "
         f"exceed budget {rep.budget:.4e} (max in-tube gap "
         f"{rep.max_gap_in_tube:.3e})",
     )
@@ -235,12 +245,17 @@ def test_criterion_7_interlacing_dominance():
         and f64.b_violation <= f16.b_violation
         and f64.c_violation <= f16.c_violation
     )
+
+    def freq(value, f):
+        return f"{value:.4f}{_upper_if_zero(value, f.n_samples)}"
+
     _report(
         7,
         ok,
-        f"A(64)={f64.a_violation:.4f} (<1e-3), A(16)={f16.a_violation:.4f}, "
-        f"B: {f16.b_violation:.4f}->{f64.b_violation:.4f}, "
-        f"C: {f16.c_violation:.4f}->{f64.c_violation:.4f}",
+        f"A(64)={freq(f64.a_violation, f64)} (<1e-3), "
+        f"A(16)={freq(f16.a_violation, f16)}, "
+        f"B: {freq(f16.b_violation, f16)}->{freq(f64.b_violation, f64)}, "
+        f"C: {freq(f16.c_violation, f16)}->{freq(f64.c_violation, f64)}",
     )
     assert ok
 
@@ -253,9 +268,9 @@ def test_criterion_8_crossing_superexponentiality():
     bundle = PathBundle.linear(2, grid, init, terminal)
     delta = 0.2
     samples = {8.0: 600_000, 16.0: 200_000, 32.0: 200_000}
-    slopes = {}
+    slopes, ests = {}, {}
     for gamma, n in samples.items():
-        est = smallball_probability(
+        est = ests[gamma] = smallball_probability(
             _cfg(2, gamma), bundle, delta, n, seed=2027, batch_size=20000
         )
         slopes[gamma] = (
@@ -272,7 +287,12 @@ def test_criterion_8_crossing_superexponentiality():
         ok,
         f"per-gamma slopes {slopes[8.0]:.3f} / {slopes[16.0]:.3f} / "
         f"{slopes[32.0]} for gamma 8/16/32, rate sentinel "
-        f"{br.infinity_reason}",
+        f"{br.infinity_reason}; hits "
+        + ", ".join(
+            f"{e.hits}/{e.n_samples}{_upper_if_zero(e.hits, e.n_samples)} "
+            f"trusted={e.trusted}"
+            for e in ests.values()
+        ),
     )
     assert ok
 
@@ -352,7 +372,8 @@ def test_criterion_11_escape_probability_bound():
     _report(
         11,
         ok,
-        f"escape frequency {freq:.4f} <= bound {bound:.6f} + 3se "
+        f"escape frequency {freq:.4f}{_upper_if_zero(freq, 1000)} <= bound "
+        f"{bound:.6f} + 3se "
         f"({bound + 3 * se:.4f})",
     )
     assert ok

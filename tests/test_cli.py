@@ -263,6 +263,18 @@ def test_malformed_csv_row_names_file_and_line(tmp_path, capsys, command,
     assert err == f"error: {bad}: {message}\n"
 
 
+def test_simulate_init_with_a_bundle_header_fails(tmp_path, capsys):
+    init = tmp_path / "init.csv"
+    init.write_text("t,T_1_1,T_2_1\n0.0,0.5,0.7\n")
+    code, out, err = run(
+        ["simulate", "--n", "2", "--dt", "0.01", "--init", str(init)], capsys
+    )
+    assert code == 1
+    assert out == ""
+    assert err == ("error: unexpected header ['t', 'T_1_1', 'T_2_1'], want "
+                   "['T_1_1', 'T_2_1', 'T_2_2']\n")
+
+
 def test_malformed_json_config(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text('{"gamma": ')

@@ -319,6 +319,16 @@ def test_configuration_csv_round_trip():
     np.testing.assert_array_equal(back.entries, cfg.entries)
 
 
+def test_configuration_csv_rejects_other_headers():
+    # a bundle-like header has a triangular count of fields, but its first
+    # column is t, which would be read as T_1_1
+    with pytest.raises(ValueError, match=r"unexpected header \['t', 'T_1_1', "
+                                         r"'T_2_1'\]"):
+        configuration_from_csv(io.StringIO("t,T_1_1,T_2_1\n0.0,0.5,0.7\n"))
+    with pytest.raises(ValueError, match="unexpected header"):
+        configuration_from_csv(io.StringIO("T_1_1,T_2_2,T_2_1\n0,1,2\n"))
+
+
 def test_configuration_csv_rejects_extra_rows():
     with pytest.raises(ValueError, match="found 2 data rows"):
         configuration_from_csv(io.StringIO("T_1_1\n0.5\n0.7\n"))

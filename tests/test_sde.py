@@ -689,3 +689,66 @@ def test_scan_non_finite_mid_chunk_raises_without_warnings():
             )
     assert (err.value.step, err.value.particle) == (151, 0)
     assert starts == [0]  # one chunk holds all 300 steps; it is not observed
+
+
+_LEAST_GAP_CASES = {
+    "triangle3-drifts": (
+        Topology.triangle(3), [2.0, 8.0], None,
+        {"drifts": [0.3, -0.2, -0.2, 0.1, 0.1, 0.1]},
+    ),
+    # the cap of 0.5 makes columns step again, tamed; 3 is no power of four,
+    # so gamma * gap rounds
+    "four-particle-restepped": (FOUR_PARTICLE, [3.0, 64.0], 0.5, {}),
+    "two-barrier": (
+        Topology([1, -1, -1], [2, -1, -1]), [4.0, 32.0], 0.8,
+        {"barriers": np.stack([-_T - 0.05, _T * _T + 0.05])},
+    ),
+    # the lower barrier jumps past the particle at the last grid point only,
+    # so every least gap of (particle, barrier) falls there
+    "least-at-end": (
+        Topology([1, -1], [-1, -1]), 16.0, None,
+        {"barriers": np.r_[np.full(_T.size - 1, -0.5), 5.0][None]},
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(_LEAST_GAP_CASES))
+def test_least_gap_matches_stored_paths(case):
+    topology, gamma, cap, kw = _LEAST_GAP_CASES[case]
+    R, M = 60, _T.size - 1
+    fixed = kw.get("barriers", np.empty((0, M + 1)))
+    P = topology.size - len(fixed)
+    inc = ensemble_increments(23, range(R), TimeGrid(0.0, 1.0, M), P)
+    least = np.full((len(topology.relations),) + np.shape(gamma) + (R,),
+                    np.nan)
+    states, clamps, starts = _scan_blocks(topology, inc, gamma, cap,
+                                          least_gap=least, **kw)
+    assert len(starts) > 2  # the path spans several chunks
+    # every row, moving and fixed, at every grid index 0 .. M
+    full = np.concatenate(
+        [states, np.broadcast_to(fixed.T[:, :, None],
+                                 (M + 1, len(fixed), states.shape[2]))],
+        axis=1,
+    )
+    gaps = np.stack([full[:, hi] - full[:, lo]
+                     for hi, lo in topology.relations])
+    expect = gaps.min(axis=1).reshape(least.shape)
+    assert least.tobytes() == expect.tobytes()
+    if case == "four-particle-restepped":
+        assert clamps.sum() > 0
+    if case == "least-at-end":
+        assert (gaps.argmin(axis=1) == M).all()
+
+
+def test_least_gap_rejects_what_it_cannot_fill():
+    inc = np.zeros((5, 3, 10))
+    tri = Topology.triangle(2)
+    with pytest.raises(ValueError, match="one value per relation"):
+        ensemble_scan(tri, np.zeros(3), inc, [8.0, 16.0], 0.1, None,
+                      least_gap=np.empty((2, 5)))
+    # row 1 is fixed, yet its own relation to row 2 has no moving row
+    fixed_pair = Topology([-1, -1, -1], [1, 2, -1])
+    with pytest.raises(ValueError, match="bound a moving row"):
+        ensemble_scan(fixed_pair, np.zeros(1), inc[:, :1], 8.0, 0.1, None,
+                      barriers=np.zeros((2, 11)),
+                      least_gap=np.empty((2, 5)))
