@@ -461,26 +461,34 @@ def bundle_to_csv(f, bundle: PathBundle, comments: list[str] | None = None) -> N
 
 def _write_csv(f, header: str, rows, comments=(), footer=()) -> None:
     """Write to text file f the `# ` comment lines, the header, each row as
-    its values' str joined by commas, then the `# ` footer lines.  Rows hold
-    Python scalars, so a float is written as its repr: exact on reread."""
+    its values' str joined by commas (one %-format of the whole table), then
+    the `# ` footer lines.  Rows hold Python scalars, one per header field,
+    so a float is written as its repr: exact on reread."""
+    flat = tuple(itertools.chain.from_iterable(rows))
+    ncols = header.count(",") + 1
     f.write("".join(f"# {line}\n" for line in comments) + header + "\n")
-    f.write("".join(",".join(map(str, row)) + "\n" for row in rows))
+    f.write(("%s" + ",%s" * (ncols - 1) + "\n") * (len(flat) // ncols) % flat)
     f.write("".join(f"# {line}\n" for line in footer))
+
+
+_floats = functools.partial(np.loadtxt, delimiter=",", comments=None, ndmin=2)
 
 
 def _float_rows(f, ncols: int | None = None, skip=("#",)):
     """Header fields (None if ncols is given) and (n, ncols) float rows of
     CSV text f, skipping blank lines and those starting with a prefix in
-    skip, parsed by one join, split and map(float).  A malformed row raises
-    ValueError naming f's file, if it has a name, and the 1-based line."""
+    skip, read in one call by numpy's C reader (_floats): each field as by
+    float(), bit for bit, except that `1_000` and non-ASCII digits are not
+    numbers.  A malformed row raises ValueError naming f's file, if it has
+    a name, and the 1-based line."""
     lines = [ln.strip() for ln in f]
     rows = [ln for ln in lines if ln and not ln.startswith(skip)]
     header = None if ncols else (rows.pop(0).split(",") if rows else [])
     ncols = ncols or len(header)
     with contextlib.suppress(ValueError):
-        if set(map(str.count, rows, itertools.repeat(","))) <= {ncols - 1}:
-            flat = list(map(float, ",".join(rows).split(","))) if rows else []
-            return header, np.array(flat).reshape(len(rows), ncols)
+        data = _floats(rows) if rows else np.empty((0, ncols))
+        if data.shape[1] == ncols:
+            return header, data
     # a malformed row: find the first, row by row
     where = "" if getattr(f, "name", None) is None else f"{f.name}: "
     numbered = [(i, ln) for i, ln in enumerate(lines, 1)
@@ -490,7 +498,15 @@ def _float_rows(f, ncols: int | None = None, skip=("#",)):
         try:
             if len(fields) != ncols:
                 raise ValueError(f"{len(fields)} fields, expected {ncols}")
-            list(map(float, fields))
+            with contextlib.suppress(ValueError):
+                _floats([ln])
+                continue
+            for x in fields:  # the row's first field that is not a number
+                with contextlib.suppress(ValueError):
+                    if x.strip():  # else the C reader skips it as a blank line
+                        _floats([x])
+                        continue
+                raise ValueError(f"could not convert string to float: {x!r}")
         except ValueError as e:
             raise ValueError(f"{where}line {i}: {e}") from None
 

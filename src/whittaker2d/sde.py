@@ -149,10 +149,11 @@ def ensemble_scan(
     shape (F, M+1), are the paths of the topology's last F rows, which are
     fixed: they are written into the state at every grid index instead of
     being stepped.  drifts, the constant a of each moving row, has length
-    P.  gamma is a scalar or a 1-d array of G values, cap a scalar or one
-    value per gamma (None: default_drift_cap).  Every gamma steps the same
-    noise: the state has G*R columns, gamma-major, each bit-identical to a
-    call at its gamma alone.
+    P; all zero, it is not added, as for None.  gamma is a scalar or a 1-d
+    array of G values, cap a scalar or one value per gamma (None:
+    default_drift_cap).  Every gamma steps the same noise: the state has
+    G*R columns, gamma-major, each bit-identical to a call at its gamma
+    alone.
 
     The step is T <- T + dW / sqrt(gamma) + clamp(drift, +-cap) * dt, the
     whole state read at the start of the step and each exp's argument
@@ -227,6 +228,8 @@ def ensemble_scan(
                              "gamma and replicate")
     base = None if drifts is None else np.reshape(drifts, (P, 1))
     a = np.zeros((P, 1)) if base is None else np.abs(base)
+    # a push is exp(.) >= +0.0 or the zero row: 0.0 + push is push, bit for bit
+    base = base if a.any() else None
     # NaN or a headroom <= 0 fails every comparison with the bound
     with np.errstate(divide="ignore", invalid="ignore"):
         room = np.minimum(np.log(hi_cap[owner] - a[owner]), _EXP_MAX)

@@ -60,13 +60,20 @@ def running_sup_plus(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return sup, active
 
 
+def _offset(driver: SamplePath, barrier: SamplePath, start: float) -> float:
+    """c = start - driver(a) of either map, once its inputs are checked."""
+    if driver.grid != barrier.grid:
+        raise ValueError("driver and barrier must share a grid")
+    if not -np.inf < start < np.inf:  # NaN fails too
+        raise ValueError(f"start must be finite, got {start}")
+    return start - driver.values[0]
+
+
 def reflect_above(
     driver: SamplePath, barrier: SamplePath, start: float
 ) -> ReflectionResult:
     """Reflect the driver upward off the moving barrier, starting at start."""
-    if driver.grid != barrier.grid:
-        raise ValueError("driver and barrier must share a grid")
-    c = start - driver.values[0]
+    c = _offset(driver, barrier, start)
     excess = barrier.values - driver.values - c
     push, active = running_sup_plus(excess)
     out = c + driver.values + push
@@ -84,9 +91,7 @@ def reflect_below(
 
         out(t) = c + psi(t) - max over s <= t of (-(barrier - psi - c))(s)_+
     """
-    if driver.grid != barrier.grid:
-        raise ValueError("driver and barrier must share a grid")
-    c = start - driver.values[0]
+    c = _offset(driver, barrier, start)
     deficit = -(barrier.values - driver.values - c)
     push, active = running_sup_plus(deficit)
     out = c + driver.values - push

@@ -260,6 +260,18 @@ def test_criterion_7_interlacing_dominance():
     assert ok
 
 
+def test_interlacing_dominance_where_gamma_16_violates():
+    # criterion 7 holds on frequencies that are all zero; at a tenth of the
+    # margins every event happens at gamma=16, so dominance has power here
+    f16, f64 = interlace_event_frequency(
+        [16.0, 64.0], 1000, seed=17, dt=1e-3, margin_scale=0.1
+    )
+    at16 = (f16.a_violation, f16.b_violation, f16.c_violation)
+    at64 = (f64.a_violation, f64.b_violation, f64.c_violation)
+    assert min(at16) > 0
+    assert all(hi <= lo for hi, lo in zip(at64, at16))
+
+
 @pytest.mark.slow
 def test_criterion_8_crossing_superexponentiality():
     grid = TimeGrid(0.0, 0.25, 250)

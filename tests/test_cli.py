@@ -245,8 +245,9 @@ def test_table_formats_match_the_library(tmp_path, capsys):
     "row, message",
     [("0.5,1.0,2.0", "line 4: 3 fields, expected 2"),
      ("0.5,x", "line 4: could not convert string to float: 'x'"),
-     ("0.5,", "line 4: could not convert string to float: ''")],
-    ids=["ragged", "non-numeric", "empty-field"],
+     ("0.5,", "line 4: could not convert string to float: ''"),
+     ("0.5,1_000", "line 4: could not convert string to float: '1_000'")],
+    ids=["ragged", "non-numeric", "empty-field", "underscore"],
 )
 @pytest.mark.parametrize("command", ["rate", "reflect"])
 def test_malformed_csv_row_names_file_and_line(tmp_path, capsys, command,
@@ -428,10 +429,12 @@ def test_bad_gamma_exits_one(command, gammas, capsys, tmp_path):
          "eta"),
         (["slope", "--delta", "-1", "--samples", "10", "--dt", "0.1"],
          "delta"),
+        (["reflect", "--start", "nan"], "start must be finite, got nan"),
+        (["reflect", "--start", "inf"], "start must be finite, got inf"),
     ],
     ids=["rate-eps-nan", "rate-eps-inf", "interlace-margin-scale-nan",
          "simulate-drift-cap-nan", "equivalence-eta-nan",
-         "slope-delta-negative"],
+         "slope-delta-negative", "reflect-start-nan", "reflect-start-inf"],
 )
 def test_bad_parameter_exits_one_without_output(argv, name, capsys,
                                                 tmp_path):
@@ -442,6 +445,10 @@ def test_bad_parameter_exits_one_without_output(argv, name, capsys,
                          capsys)
         assert code == 0
         argv = argv + ["--bundle", str(bundle)]
+    elif argv[0] == "reflect":
+        path = tmp_path / "path.csv"
+        path.write_text("t,value\n0.0,0.0\n0.5,0.25\n1.0,0.5\n")
+        argv = argv + ["--driver", str(path), "--barrier", str(path)]
     out = tmp_path / "out.csv"
     code, stdout, err = run(argv + ["--out", str(out)], capsys)
     assert code == 1

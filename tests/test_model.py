@@ -21,6 +21,8 @@ from whittaker2d import (
     tri_size,
 )
 from whittaker2d.model import (
+    _float_rows,
+    _write_csv,
     bundle_to_csv,
     configuration_from_csv,
     configuration_to_csv,
@@ -300,14 +302,53 @@ def test_bundle_csv_round_trip_skips_blank_and_comment_lines():
     "row, message",
     [("0.5,1.0,2.0", "line 4: 3 fields, expected 2"),
      ("0.5,x", "line 4: could not convert string to float: 'x'"),
-     ("0.5,", "line 4: could not convert string to float: ''")],
-    ids=["ragged", "non-numeric", "empty-field"],
+     ("0.5,", "line 4: could not convert string to float: ''"),
+     # float() reads these two, numpy's C reader does not
+     ("0.5,1_000", "line 4: could not convert string to float: '1_000'"),
+     ("0.5,\uff11", "line 4: could not convert string to float: '\uff11'")],
+    ids=["ragged", "non-numeric", "empty-field", "underscore", "full-width"],
 )
 def test_bundle_csv_names_the_malformed_line(row, message):
     text = f"# comment\nt,T_1_1\n0.0,1.0\n{row}\n\n1.0,1.0\n"
     with pytest.raises(ValueError) as exc:
         bundle_from_csv(io.StringIO(text))
     assert str(exc.value) == message
+
+
+def test_bundle_csv_fields_read_as_float_bit_for_bit():
+    fields = ["inf", "-inf", "nan", "-nan", "-0.0", "5e-324",
+              "1.7976931348623157e308", "1e400", "0.12345678901234567",
+              "-9.8765432109876543e-7", " 2.5", "-0.25 ", " nan "]
+    times = np.linspace(0.0, 1.0, len(fields)).tolist()
+    text = "t,T_1_1\n" + "".join(f"{t!r},{x}\n" for t, x in zip(times, fields))
+    # a bundle holds finite values only, so read the table beneath it
+    header, data = _float_rows(io.StringIO(text))
+    assert header == ["t", "T_1_1"]
+    want = np.array([float(x) for x in fields])
+    assert data[:, 1].tobytes() == want.tobytes()
+    assert np.signbit(data[3, 1])  # -nan keeps its sign
+
+
+def test_bundle_csv_short_rows_fail_on_the_first_data_line():
+    # every data row one field short: the rows agree on a width, the wrong one
+    text = "# comment\nt,T_1_1,T_2_1,T_2_2\n0.0,1.0,1.0\n1.0,1.0,1.0\n"
+    with pytest.raises(ValueError, match="^line 3: 3 fields, expected 4$"):
+        bundle_from_csv(io.StringIO(text))
+
+
+@pytest.mark.parametrize("rows", [
+    [["T_1_1", 3, True, -0.0], ["x", -7, False, 5e-324],
+     ["y", 0, True, float("nan")], ["z", 10**20, False, float("inf")],
+     ["w", 1, False, -float("inf")], ["v", 2, True, 0.1]],
+    [],
+], ids=["mixed", "no-rows"])
+def test_write_csv_matches_a_per_row_join(rows):
+    buf = io.StringIO()
+    _write_csv(buf, "name,count,flag,value", iter(rows), ["c=1", "d"],
+               ["total=2"])
+    want = "# c=1\n# d\nname,count,flag,value\n" + "".join(
+        ",".join(map(str, row)) + "\n" for row in rows) + "# total=2\n"
+    assert buf.getvalue() == want
 
 
 def test_configuration_csv_round_trip():

@@ -740,6 +740,22 @@ def test_least_gap_matches_stored_paths(case):
         assert (gaps.argmin(axis=1) == M).all()
 
 
+def test_zero_drifts_step_as_none():
+    # the cap of 0.5 makes columns step again, tamed, where the drift is
+    # added too; a -0.0 drift adds nothing either
+    R, M = 40, _T.size - 1
+    inc = ensemble_increments(29, range(R), TimeGrid(0.0, 1.0, M), 4)
+    runs = []
+    for drifts in (None, [0.0, -0.0, 0.0, 0.0]):
+        least = np.empty((len(FOUR_PARTICLE.relations), 2, R))
+        states, clamps, _ = _scan_blocks(FOUR_PARTICLE, inc, [3.0, 64.0], 0.5,
+                                         drifts=drifts, least_gap=least)
+        runs.append((states, clamps, least))
+    for none, zero in zip(*runs):
+        assert none.tobytes() == zero.tobytes()
+    assert runs[0][1].sum() > 0
+
+
 def test_least_gap_rejects_what_it_cannot_fill():
     inc = np.zeros((5, 3, 10))
     tri = Topology.triangle(2)

@@ -112,6 +112,15 @@ def test_grid_mismatch_rejected():
         )
 
 
+@pytest.mark.parametrize("start", [np.nan, np.inf, -np.inf])
+def test_non_finite_start_rejected(start):
+    path = SamplePath.constant(TimeGrid(0.0, 1.0, 10), 0.0)
+    for op in (reflect_above, reflect_below):
+        with pytest.raises(ValueError, match=f"^start must be finite, got "
+                                             f"{start}$"):
+            op(path, path, start)
+
+
 def test_running_sup_plus_active_set():
     values = np.array([-1.0, 0.5, 0.2, 0.5, 0.7])
     sup, active = running_sup_plus(values)
