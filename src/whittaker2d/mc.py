@@ -6,15 +6,16 @@ work is batched, tiled or threaded, so results are bit-identical across
 worker counts and tile counts, and hit counts reduce by integer sums.  One
 tiling rule (_tiled) cuts each batch that is wide enough into contiguous
 tiles of replicates, scored by the calling thread and one module-level
-thread pool on the usable cores: the free particle's tiles are cache-sized
-paths, and every other tile draws its own noise stream and runs its own
-ensemble_scan, while a narrow batch runs as one inline scan.  Each scan's
-states are reduced to per-replicate extremes as they are stepped: by an
-observer of |T - phi| for the small-ball estimators, and for
-interlace_event_frequency and equivalence_experiment from the least gap of
-each order relation that ensemble_scan reports, with an observer only of the
-one gap that is no relation (T+ - T- for event C, |twin - full| for the
-coupling).  smallball_probability, ldp_slope (in its per-gamma results) and
+thread pool on the usable cores: a free-particle tile draws its noise and
+walks every gamma's path time-major in one running sum, and every other
+tile draws its own noise stream and runs its own ensemble_scan, while a
+narrow batch runs as one inline scan.  Each scan's states are reduced to
+per-replicate extremes as they are stepped: by an observer of |T - phi| for
+the small-ball estimators, and for interlace_event_frequency and
+equivalence_experiment from the least gap of each order relation that
+ensemble_scan reports, with an observer only of the one gap that is no
+relation (T+ - T- for event C, |twin - full| for the coupling).
+smallball_probability, ldp_slope (in its per-gamma results) and
 interlace_event_frequency report the fraction of replicates whose drift was
 clamped; only EstimatorResult, the result of the first two, flags more than
 CONTAMINATION_LIMIT (1%) of them as not trusted.  equivalence_experiment
@@ -25,7 +26,6 @@ from __future__ import annotations
 
 import os
 import threading
-from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,6 +42,8 @@ from .model import (
 from .noise import IncrementStream, ensemble_increments
 from .rate import default_coincidence_eps, total_rate
 from .sde import (
+    _CHUNK_BYTES,
+    _MAX_CHUNK,
     NonFiniteError,
     _cores,
     _gap_budget,
@@ -108,6 +110,15 @@ def _batches(n: int, size: int):
         start = stop
 
 
+def _distinct(values: np.ndarray) -> int:
+    """np.unique(values).size, every NaN one value, without np.unique,
+    whose first call imports numpy.ma."""
+    a = np.sort(values)  # NaNs last, where every comparison is false
+    nan = np.isnan(a)
+    return (int(np.count_nonzero(a[1:] > a[:-1]))
+            + bool((~nan).any()) + bool(nan.any()))
+
+
 def _checked_gammas(gammas, batch_size: int) -> np.ndarray:
     """gammas as a float array, once every gamma is positive and finite and
     batch_size is at least 1 (a smaller one would make no progress)."""
@@ -125,31 +136,40 @@ def _checked_gammas(gammas, batch_size: int) -> np.ndarray:
 # _TILE_BYTES, their count rounded up to a multiple of the usable cores, but
 # into no more than leave each tile _MIN_TILE_WIDTH values per call (rounded
 # down to a multiple of the cores); a batch that makes one tile runs inline.
-# The free particle's tile is its (R, M+1) path, scored once per gamma, and
-# 5 MB keeps it in cache.  A stepped tile holds its noise, and a narrow one
-# loses to the interpreter overhead of each step's calls: on 2 cores, in
-# medians of fresh processes, the smallball-tri shape (4000 replicates,
-# N = 2, M = 250) took 0.46-0.50 s in one scan, 0.31-0.39 s in two tiles of
-# 2000 replicates (6000 values per call) and 0.41-0.45 s in four of 1000.
-# A criterion-8 batch (20,000 replicates) took 0.87-0.94 s and 157 MB in
-# one scan, 0.66-0.69 s and 64 MB in ten tiles of 2000, 0.53-0.72 s and
-# 99 MB in four of 5000; on one core its ten tiles, run in turn, took
-# 0.62-0.77 s against 0.71-0.85 s.  The criterion-7 shape (2000 replicates,
-# 2 gammas, 4 rows) went from 0.58 to 0.40 s in two tiles, while
-# interlace-long's 100 replicates, 800 values per call, stay inline.  An
-# inline scan draws each next noise window on an idle core (see sde); a
-# tile's scan draws in place, as at one tile per core none is idle.
+# A free-particle tile holds only its (R, M) noise, as it walks its paths
+# time-major through chunk buffers of about 512 KB, so its noise counts half
+# its bytes: a tile keeps the 10 MB that its noise and a whole (R, M+1) path
+# buffer took together.  On 2 cores the slope-free batch (2500 replicates,
+# M = 1000, 4 gammas) makes two tiles of 1250, and an ldp_slope call took
+# 67-72 ms (medians of 60 calls), against 77-85 ms in four tiles of 625 and
+# 87-92 ms when each tile summed one whole path per gamma.  Its width counts
+# a path's M+1 values, which its chunks' calls cover, so the width floor
+# never binds a batch that the byte rule cuts.
+# A stepped tile holds its noise, and a narrow one loses to the interpreter
+# overhead of each step's calls: on 2 cores, in medians of fresh processes,
+# the smallball-tri shape (4000 replicates, N = 2, M = 250) took 0.46-0.50 s
+# in one scan, 0.31-0.39 s in two tiles of 2000 replicates (6000 values per
+# call) and 0.41-0.45 s in four of 1000.  A criterion-8 batch (20,000
+# replicates) took 0.87-0.94 s and 157 MB in one scan, 0.66-0.69 s and 64 MB
+# in ten tiles of 2000, 0.53-0.72 s and 99 MB in four of 5000; on one core
+# its ten tiles, run in turn, took 0.62-0.77 s against 0.71-0.85 s.  The
+# criterion-7 shape (2000 replicates, 2 gammas, 4 rows) went from 0.58 to
+# 0.40 s in two tiles, while interlace-long's 100 replicates, 800 values per
+# call, stay inline.  An inline scan draws each next noise window on an idle
+# core (see sde); a tile's scan draws in place, as at one tile per core none
+# is idle.
 _TILE_BYTES = 5 << 20
 _MIN_TILE_WIDTH = 6000
 _pool = None  # the tile pool, created on first use and dropped by a fork
 _pool_lock = threading.Lock()
 
 
-def _tile_pool() -> ThreadPoolExecutor:
+def _tile_pool():
     # the calling thread scores a share of the tiles itself
     global _pool
     with _pool_lock:
         if _pool is None:
+            from concurrent.futures import ThreadPoolExecutor
             _pool = ThreadPoolExecutor(max_workers=max(1, _cores() - 1))
         return _pool
 
@@ -181,6 +201,7 @@ def _tiled(score, reps, nbytes, width):
     n = min(n, widest, R)
     if n <= 1:
         return score(reps)
+    from concurrent.futures import wait
     tiles = [reps[R * i // n : R * (i + 1) // n] for i in range(n)]
     workers = min(n, cores)
 
@@ -211,22 +232,38 @@ def _tiled(score, reps, nbytes, width):
 
 
 def _free_maxdev(config, gammas, grid, phi_vals, seed, reps):
-    """_maxdev of the free particle for one tile of replicates: at each
-    gamma the path is an exact cumulative sum of the tile's increments,
-    built and compared with phi in one reused (R, M+1) buffer."""
+    """_maxdev of the free particle for one tile of replicates, walked
+    time-major in chunks of K steps, every gamma at once: each step adds
+    one (G, R) row of scaled increments to the last, the left fold that
+    np.cumsum makes along a path, then x0 is added (unless 0) and the
+    running max of |path - phi| taken.  Only the noise is (R, M); the
+    chunk buffers hold about 512 KB each."""
     inc = ensemble_increments(seed, reps, grid, 1)[:, 0, :]
     x0 = config.initial.entries[0]
-    paths = np.empty((len(reps), grid.npoints))
-    steps = paths[:, 1:]
-    maxdev = np.empty((len(gammas), len(reps)))
-    for row, gamma in zip(maxdev, gammas):
-        paths[:, 0] = x0
-        np.divide(inc, np.sqrt(gamma), out=steps)
-        np.cumsum(steps, axis=1, out=steps)
-        steps += x0
-        paths -= phi_vals[0]
-        np.abs(paths, out=paths)
-        np.max(paths, axis=1, out=row)
+    G, R, M = len(gammas), len(reps), grid.steps
+    K = max(1, min(M, _MAX_CHUNK, _CHUNK_BYTES // (8 * max(G * R, 1))))
+    roots = np.sqrt(gammas)[:, None]
+    # sums[0] carries the last sum of the chunk before
+    sums, dev = np.empty((K + 1, G, R)), np.empty((K, G, R))
+    rows = list(sums)
+    steps = np.empty((K, 1, R))  # the chunk's increments, step-major
+    maxdev = np.full((G, R), abs(x0 - phi_vals[0, 0]))
+    add = np.add
+    for i0 in range(0, M, K):
+        k = min(K, M - i0)
+        # transposed once, not once per gamma: the divide then reads rows
+        steps[:k, 0] = inc[:, i0 : i0 + k].T
+        np.divide(steps[:k], roots, out=sums[1 : k + 1])
+        # the first step's sum is its increment
+        for j in range(2 if i0 == 0 else 1, k + 1):
+            add(rows[j - 1], rows[j], rows[j])
+        path, d = sums[1 : k + 1], dev[:k]
+        if x0 != 0.0:
+            path = np.add(path, x0, out=d)
+        np.subtract(path, phi_vals[0, i0 + 1 : i0 + k + 1, None, None], out=d)
+        np.abs(d, out=d)
+        np.maximum(maxdev, d.max(axis=0), out=maxdev)
+        sums[0] = sums[k]
     return maxdev
 
 
@@ -242,10 +279,11 @@ def _maxdev(
     plus clamp counts, both of shape (G, R), for the replicates reps of
     seed."""
     if config.N == 1 and float(config.drifts[0]) == 0.0:
+        # a free tile holds only its noise, counted at half its bytes
         (maxdev,) = _tiled(
             lambda tile: (_free_maxdev(config, gammas, grid, phi_vals, seed,
                                        tile),),
-            reps, grid.npoints * 8, grid.npoints,
+            reps, grid.steps * 4, grid.npoints,
         )
         return maxdev, np.zeros(maxdev.shape, dtype=int)
     P = tri_size(config.N)
@@ -299,6 +337,7 @@ def _smallball(config, gammas, phi, delta, n_samples, seed, batch_size,
 
     batches = list(_batches(n_samples, batch_size))
     if n_workers > 1:
+        from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(max_workers=n_workers) as pool:
             parts = list(pool.map(work, batches))
     else:
@@ -380,7 +419,7 @@ def ldp_slope(
     attached for comparison.
     """
     gammas = np.asarray(sorted(gammas), dtype=float)
-    if np.unique(gammas).size < 3:
+    if _distinct(gammas) < 3:
         raise ValueError(f"need three distinct gammas, got {gammas.tolist()}")
     results = _smallball(
         config, gammas.tolist(), phi, delta, n_samples, seed, batch_size,
@@ -391,7 +430,7 @@ def ldp_slope(
         mlp = -np.log(p)
     per_gamma = mlp / gammas
     usable = np.isfinite(mlp)
-    if np.unique(gammas[usable]).size < 2:
+    if _distinct(gammas[usable]) < 2:
         raise DegenerateFitError(
             "fewer than two distinct gammas with nonzero hits"
         )

@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import os
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -309,7 +308,11 @@ def ensemble_scan(
         observe(0, block[:1, :P])
     pending = None  # the draw of the next window, while one is running
     # a thread of this call's own, so that no draw outlives it
-    drawer = ThreadPoolExecutor(max_workers=1) if len(windows) > 1 else None
+    drawer = None
+    if len(windows) > 1:
+        # imported only where a thread is made, not at package import
+        from concurrent.futures import ThreadPoolExecutor
+        drawer = ThreadPoolExecutor(max_workers=1)
     try:
         for s in range(0, M, K):
             k = min(K, M - s)

@@ -131,6 +131,14 @@ def test_ldp_slope_requires_three_gammas():
             ldp_slope(_cfg(1, 4.0), phi, 0.5, gammas, 100, seed=1)
 
 
+@pytest.mark.parametrize("values", [
+    [], [2.0], [4.0, 4.0, 8.0], [0.0, -0.0, 1.0], [3.0, np.nan, 1.0, np.nan],
+    [np.nan], [np.inf, 1.0, np.inf, -np.inf],
+])
+def test_distinct_counts_as_unique_does(values):
+    assert mc._distinct(np.array(values)) == np.unique(values).size
+
+
 def test_ldp_slope_degenerate_when_no_hits():
     grid = TimeGrid(0.0, 1.0, 100)
     # unreachable target: constant 50 while the process starts at 0
@@ -235,11 +243,14 @@ _FREE_GAMMAS = np.array([8.0, 16.0, 32.0, 64.0])
 @pytest.mark.parametrize("n_cores", [1, 2, 3])
 def test_free_particle_tiles_match_one_tile(cores, monkeypatch, n_cores,
                                             reps, tile_reps):
-    # tiles of about _TILE_BYTES of path (7 replicates: tiles of 3), their
-    # count rounded up to a multiple of the cores, none dividing the batch
+    # a free tile's noise counts half its bytes against _TILE_BYTES (2501
+    # replicates: one tile; 7 replicates: tiles of at most 3, under a width
+    # floor of one replicate), the count rounded up to a multiple of the
+    # cores, none dividing the batch
     if tile_reps is not None:
         monkeypatch.setattr(mc, "_TILE_BYTES",
-                            tile_reps * _FREE_GRID.npoints * 8)
+                            tile_reps * _FREE_GRID.steps * 4)
+        monkeypatch.setattr(mc, "_MIN_TILE_WIDTH", _FREE_GRID.npoints)
     cores(n_cores)
     cfg = _cfg(1, 8.0)
     one = mc._free_maxdev(cfg, _FREE_GAMMAS, _FREE_GRID, _FREE_PHI.values,
@@ -249,6 +260,41 @@ def test_free_particle_tiles_match_one_tile(cores, monkeypatch, n_cores,
     assert maxdev.shape == one.shape == (4, len(reps))
     assert maxdev.tobytes() == one.tobytes()
     assert not clamps.any()
+
+
+def _cumsum_maxdev(x0, gammas, grid, phi_vals, seed, reps):
+    """The free particle's max |path - phi| built the way np.cumsum
+    builds a path: per gamma, whole rows summed, then x0 added."""
+    inc = ensemble_increments(seed, reps, grid, 1)[:, 0, :]
+    maxdev = np.empty((len(gammas), len(reps)))
+    for row, gamma in zip(maxdev, gammas):
+        paths = np.empty((len(reps), grid.npoints))
+        paths[:, 0] = x0
+        paths[:, 1:] = np.cumsum(inc / np.sqrt(gamma), axis=1) + x0
+        row[:] = np.abs(paths - phi_vals[0]).max(axis=1)
+    return maxdev
+
+
+@pytest.mark.parametrize("reps", [range(1), range(3, 10), range(1250)],
+                         ids=["R=1", "R=7", "R=1250"])
+@pytest.mark.parametrize("gammas", [[8.0], [2.0, 8.0, 50.0, 1e4]],
+                         ids=["G=1", "G=4"])
+@pytest.mark.parametrize("x0", [0.0, 0.3])
+@pytest.mark.parametrize("steps", [1, 1000])
+def test_free_maxdev_matches_cumsum_paths(steps, x0, gammas, reps):
+    # chunks of 256 steps, or of 52 and 13 for 1250 replicates at G = 1
+    # and 4: none divides 1000 steps; phi starts at 0.1, not at x0
+    grid = TimeGrid(0.0, 1.0, steps)
+    cfg = ModelConfig(N=1, gamma=8.0,
+                      initial=TriangularConfiguration(1, np.array([x0])))
+    phi = PathBundle.linear(
+        1, grid, TriangularConfiguration(1, np.array([0.1])),
+        TriangularConfiguration(1, np.array([0.5])),
+    )
+    gammas = np.array(gammas)
+    got = mc._free_maxdev(cfg, gammas, grid, phi.values, 7, reps)
+    want = _cumsum_maxdev(x0, gammas, grid, phi.values, 7, reps)
+    assert got.tobytes() == want.tobytes()
 
 
 def test_free_particle_batch_under_a_tile_runs_inline(cores):
