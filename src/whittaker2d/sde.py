@@ -61,13 +61,13 @@ _CHUNK_BYTES = 1 << 19  # size of each per-chunk buffer of ensemble_scan
 _MAX_CHUNK = 256  # steps per chunk at most, so its step views stay few
 # ensemble_scan holds an IncrementStream's draws in _WINDOW steps (in whole
 # chunks), fewer if that would take more than _WINDOW_BYTES, but never
-# fewer than _MIN_WINDOW: every window costs each replicate one more draw
-# call, and a replicate split at all opens a generator of its own, which a
-# path of a few hundred steps would not repay however wide its batch.  A
-# path that fits is drawn whole.  A longer one is drawn in place, window by
-# window, unless a core is idle: then in two buffers of half the chunks
-# each, one stepped while the draw thread fills the other, so the pair
-# holds no more than one window: a second full window cost the
+# fewer than _MIN_WINDOW: every window costs each block of four replicates
+# one more draw call, and a stream split at all opens a generator of its own
+# per block, which a path of a few hundred steps would not repay however wide
+# its batch.  A path that fits is drawn whole.  A longer one is drawn in
+# place, window by window, unless a core is idle: then in two buffers of
+# half the chunks each, one stepped while the draw thread fills the other,
+# so the pair holds no more than one window: a second full window cost the
 # four-particle batch of 100 replicates at M = 10,000 14% of its peak RSS
 _WINDOW, _MIN_WINDOW, _WINDOW_BYTES = 2048, 1024, 1 << 26
 # .on is set in a thread that steps one of several tiles spread over every

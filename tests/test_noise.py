@@ -82,15 +82,17 @@ def test_step_prefixes_are_addressable():
 @pytest.mark.parametrize("seed", [0, 2**53 + 1, 2**64 - 1])
 @pytest.mark.parametrize("rep", [0, 2**53 + 1, 2**64 - 1])
 def test_streams_match_fresh_philox(seed, rep):
-    # replicate rep is what a fresh Philox with key (seed, rep) and counter
-    # block [0, 1, 0, 0] draws, scaled by sqrt(dt), step-major: normal
-    # n*P + p is particle p's increment at step n
+    # replicate rep is slot rep % 4 of what a fresh Philox with key
+    # (seed, rep // 4) and counter block [0, 1, 0, 0] draws, scaled by
+    # sqrt(dt), step-major, then by replicate, then by particle: normal
+    # (4n + rep % 4)*P + p is particle p's increment at step n
     grid = TimeGrid(0.0, 1.0, 33)
-    key = np.array([seed, rep], dtype=np.uint64)
+    key = np.array([seed, rep // 4], dtype=np.uint64)
     for P in (1, 3):
         block = ensemble_increments(seed, range(rep, rep + 1), grid, P)
         rng = Generator(Philox(key=key, counter=[0, 1, 0, 0]))
-        expect = rng.standard_normal(grid.steps * P).reshape(grid.steps, P)
+        expect = rng.standard_normal(grid.steps * 4 * P).reshape(
+            grid.steps, 4, P)[:, rep % 4]
         np.testing.assert_array_equal(block[0], expect.T * np.sqrt(grid.dt))
 
 
@@ -100,9 +102,37 @@ def test_stream_layout_pinned():
     block = ensemble_increments(2024, range(3), grid, 2)
     assert block[0, 0, 0] == -0.5357376862198944
     assert block[0, 1, 0] == 0.36174300649031693
-    assert block[2, 1, 3] == 0.2625354043771897
+    assert block[1, 0, 0] == 0.4548747075086811
+    assert block[0, 0, 1] == -1.0860365012475106
+    assert block[2, 1, 3] == 0.4012132447922118
     top = ensemble_increments(2**64 - 1, range(2**64 - 1, 2**64), grid, 1)
-    assert top[0, 0, 1] == 0.9403915178539011
+    assert top[0, 0, 1] == 0.2244083411564008
+
+
+@pytest.mark.parametrize("steps, P", [(33, 3), (3000, 30)])
+@pytest.mark.parametrize("reps, aligned", [
+    (range(3, 10), range(0, 12)),
+    (range(2**64 - 3, 2**64), range(2**64 - 4, 2**64)),
+])
+def test_ranges_cut_inside_blocks_keep_their_rows(reps, aligned, steps, P):
+    # a range whose ends fall inside a block gives the rows of the
+    # block-aligned draw, also where a block's window (3000 steps of
+    # 4 x 30 normals) is drawn a piece of steps at a time
+    grid = TimeGrid(0.0, 1.0, steps)
+    whole = ensemble_increments(1, aligned, grid, P)
+    cut = ensemble_increments(1, reps, grid, P)
+    lo = reps.start - aligned.start
+    assert cut.tobytes() == whole[lo : lo + len(reps)].tobytes()
+
+
+def test_replicates_must_be_a_step_one_range():
+    # a step other than 1 would split a block's rows; an empty range draws
+    # nothing
+    grid = TimeGrid(0.0, 1.0, 10)
+    for reps in [range(0, 8, 2), range(3, 0, -1), [0, 1]]:
+        with pytest.raises(ValueError, match="replicate"):
+            ensemble_increments(0, reps, grid, 1)
+    assert ensemble_increments(0, range(5, 5), grid, 2).shape == (0, 2, 10)
 
 
 @pytest.mark.parametrize("seed, rep", [(5, 0), (2**64 - 1, 2**64 - 3)])
@@ -121,10 +151,11 @@ def test_stream_windows_concatenate_to_one_draw(seed, rep):
         stream.fill(np.empty((3, 1, 2)))
 
 
-def test_stream_opens_one_generator_per_replicate(monkeypatch):
-    # three windows of 4 replicates x 3 particles: each fill builds the one
-    # generator it re-keys, and each replicate opens one generator of its
-    # own that it keeps across windows, not one per particle
+def test_stream_opens_one_generator_per_block(monkeypatch):
+    # three windows of replicates 1..8 (blocks 0, 1 and 2) x 3 particles:
+    # each fill builds the one generator it re-keys, and each block opens
+    # one generator of its own that it keeps across windows, not one per
+    # replicate
     opened = []
 
     def counting(*args, **kwargs):
@@ -132,10 +163,35 @@ def test_stream_opens_one_generator_per_replicate(monkeypatch):
         return Philox(*args, **kwargs)
 
     monkeypatch.setattr(noise, "Philox", counting)
-    stream = IncrementStream(11, range(4), TimeGrid(0.0, 1.0, 30), 3)
+    stream = IncrementStream(11, range(1, 9), TimeGrid(0.0, 1.0, 30), 3)
     for _ in range(3):
-        stream.fill(np.empty((4, 10, 3)))
-    assert len(opened) == 4 + 3
+        stream.fill(np.empty((8, 10, 3)))
+    assert len(opened) == 3 + 3
+
+
+@pytest.mark.parametrize("windows", [(10, 10, 10), (30,)])
+def test_fill_draws_once_per_block(monkeypatch, windows):
+    # replicates 1..8 touch blocks 0, 1 and 2: every window, carried across
+    # window ends or drawn whole, makes one standard_normal call per block
+    calls = []
+
+    class Counting:
+        def __init__(self, bit):
+            self._rng = Generator(bit)
+
+        def standard_normal(self, *args, **kwargs):
+            calls.append(1)
+            return self._rng.standard_normal(*args, **kwargs)
+
+    monkeypatch.setattr(noise, "Generator", Counting)
+    grid = TimeGrid(0.0, 1.0, 30)
+    stream = IncrementStream(11, range(1, 9), grid, 3)
+    parts = [stream.fill(np.empty((8, k, 3))) for k in windows]
+    assert len(calls) == 3 * len(windows)
+    monkeypatch.undo()
+    drawn = np.concatenate(parts, axis=1).transpose(0, 2, 1)
+    assert drawn.tobytes() == ensemble_increments(
+        11, range(1, 9), grid, 3).tobytes()
 
 
 def test_ensemble_matches_per_replicate():
