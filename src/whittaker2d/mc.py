@@ -5,16 +5,17 @@ streams: replicate r always consumes the same increments no matter how the
 work is batched, tiled or threaded, so results are bit-identical across
 worker counts and tile counts, and hit counts reduce by integer sums.  One
 tiling rule (_tiled) cuts each batch that is wide enough into contiguous
-tiles of replicates, scored by the calling thread and one module-level
-thread pool on the usable cores: a free-particle tile draws its noise and
-walks every gamma's path time-major in one running sum, and every other
-tile draws its own noise stream and runs its own ensemble_scan, while a
-narrow batch runs as one inline scan.  Each scan's states are reduced to
-per-replicate extremes as they are stepped: by an observer of |T - phi| for
-the small-ball estimators, and for interlace_event_frequency and
-equivalence_experiment from the least gap of each order relation that
-ensemble_scan reports, with an observer only of the one gap that is no
-relation (T+ - T- for event C, |twin - full| for the coupling).
+tiles of replicates, at multiples of the noise's blocks of four, scored by
+the calling thread and one module-level thread pool on the usable cores: a
+free-particle tile draws its noise and walks every gamma's path time-major
+in one running sum, and every other tile draws its own noise stream and
+runs its own ensemble_scan, while a narrow batch runs as one inline scan.
+Each scan's states are reduced to per-replicate extremes as they are
+stepped: by an observer of |T - phi| for the small-ball estimators, and for
+interlace_event_frequency and equivalence_experiment from the least gap of
+each order relation that ensemble_scan reports, with an observer only of
+the one gap that is no relation (T+ - T- for event C, |twin - full| for the
+coupling).
 smallball_probability, ldp_slope (in its per-gamma results) and
 interlace_event_frequency report the fraction of replicates whose drift was
 clamped; only EstimatorResult, the result of the first two, flags more than
@@ -39,7 +40,7 @@ from .model import (
     tri_offset,
     tri_size,
 )
-from .noise import IncrementStream, ensemble_increments
+from .noise import _Q, IncrementStream, ensemble_increments
 from .rate import default_coincidence_eps, total_rate
 from .sde import (
     _CHUNK_BYTES,
@@ -199,10 +200,15 @@ def _tiled(score, reps, nbytes, width):
     if widest > cores:
         widest -= widest % cores
     n = min(n, widest, R)
+    # every cut at a multiple of _Q, so that no noise block is drawn by two
+    # tiles; a cut that rounds onto the one before it makes no tile
+    a, z = reps.start, reps.stop
+    cuts = [a, *(max(a, (a + R * i // n) // _Q * _Q) for i in range(1, n)), z]
+    tiles = [range(lo, hi) for lo, hi in zip(cuts, cuts[1:]) if lo < hi]
+    n = len(tiles)
     if n <= 1:
         return score(reps)
     from concurrent.futures import wait
-    tiles = [reps[R * i // n : R * (i + 1) // n] for i in range(n)]
     workers = min(n, cores)
 
     def run(w):

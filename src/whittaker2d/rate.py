@@ -15,10 +15,6 @@ assignment is available behind convention="theorem" so the discrepancy can
 be measured rather than guessed at.  Crossing a barrier by more than eps,
 or starting away from the prescribed initial value, yields the +inf
 sentinel with an explicit reason.
-
-brute_force_local_rate is an independent oracle: it numerically minimizes
-the driver action over all drivers whose upward reflection reproduces the
-target path, and verifies feasibility through the forward reflection map.
 """
 
 from __future__ import annotations
@@ -36,29 +32,21 @@ from .model import (
     TriIndex,
     tri_indices,
 )
-from .skorokhod import reflect_above
 
 __all__ = [
     "LEMMA",
     "ALTERNATE",
     "CellLabel",
     "RateBreakdown",
-    "InfeasibleError",
     "classify",
     "particle_rate",
     "total_rate",
-    "brute_force_local_rate",
     "default_coincidence_eps",
 ]
 
 LEMMA = "lemma"
 ALTERNATE = "theorem"
 _CONVENTIONS = (LEMMA, ALTERNATE)
-_ORACLE_MAX_STEPS = 64  # the finest grid brute_force_local_rate accepts
-
-
-class InfeasibleError(RuntimeError):
-    """No driver reproduces the target path through the reflection map."""
 
 
 class CellLabel(enum.IntEnum):
@@ -288,74 +276,3 @@ def total_rate(
         infinity_reason=reason,
         offending=offending,
     )
-
-
-def brute_force_local_rate(
-    phi: SamplePath,
-    phi_minus: SamplePath,
-    eps: float,
-) -> float:
-    """Independent variational oracle for the single-lower-barrier action.
-
-    Minimizes the driver action (1/2) sum slope^2 dt over all drivers whose
-    upward reflection off phi_minus reproduces phi, parameterized by the
-    nonnegative per-cell push increments (the constraint set is convex; the
-    reflection map is monotone in the driver).  Push may only act on cells
-    where phi sits within eps of the barrier.  The candidate driver is then
-    pushed through the forward reflection map and rejected (InfeasibleError)
-    if it fails to reproduce phi, so the oracle never trusts the one-sided
-    penalty formula it is checking.
-    """
-    if phi.grid != phi_minus.grid:
-        raise ValueError("phi and barrier must share a grid")
-    if phi.grid.steps > _ORACLE_MAX_STEPS:
-        raise ValueError(
-            f"oracle restricted to coarse grids (<= {_ORACLE_MAX_STEPS} steps)"
-        )
-    if np.any(phi.values < phi_minus.values - eps):
-        raise InfeasibleError("target path undercuts the barrier")
-    dt = phi.grid.dt
-    dphi = np.diff(phi.values)
-    support = (
-        np.abs(_midpoints(phi.values) - _midpoints(phi_minus.values)) <= eps
-    )
-    n_push = int(np.count_nonzero(support))
-
-    if n_push == 0:
-        push = np.zeros(0)
-    else:
-        # scipy is imported here, by the one function that needs it, so
-        # that importing the package loads numpy alone
-        from scipy.optimize import minimize
-
-        target = dphi[support]
-
-        def objective(x):
-            r = target - x
-            return float(np.dot(r, r) / (2.0 * dt)), -r / dt
-
-        res = minimize(
-            objective,
-            x0=np.maximum(target, 0.0),
-            jac=True,
-            method="L-BFGS-B",
-            bounds=[(0.0, None)] * n_push,
-            options={"maxiter": 500, "ftol": 1e-16, "gtol": 1e-12},
-        )
-        push = res.x
-
-    dpsi = dphi.copy()
-    if n_push:
-        dpsi[support] -= push
-    psi_values = np.concatenate(
-        ([phi.values[0]], phi.values[0] + np.cumsum(dpsi))
-    )
-    psi = SamplePath(phi.grid, psi_values)
-    reflected = reflect_above(psi, phi_minus, float(phi.values[0]))
-    tol = max(2.0 * eps, 1e-8)
-    gap = float(np.max(np.abs(reflected.path.values - phi.values)))
-    if gap > tol:
-        raise InfeasibleError(
-            f"best driver misses the target by {gap:.3e} (> {tol:.3e})"
-        )
-    return 0.5 * float(np.sum(dpsi**2)) / dt

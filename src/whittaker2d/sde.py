@@ -1,4 +1,4 @@
-"""Time steppers and closed-form solvers for the scaled particle system.
+"""Time steppers for the scaled particle system.
 
 The drift of particle (n, k) is
 
@@ -19,9 +19,7 @@ The exponential drift is stiff; the Euler stepper tames it by clamping the
 net drift to +-D with D = exp(0.25 * gamma) by default, and reports every
 clamping event so experiments can detect contamination.  It steps each
 chunk untamed first, and again, tamed, only in the columns whose drift
-exponents left the range where clamp and guard change nothing.  Closed-form
-edge solutions integrate exp(gamma * h) by trapezoid in log space, which
-stays finite at any gamma.
+exponents left the range where clamp and guard change nothing.
 """
 
 from __future__ import annotations
@@ -32,7 +30,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._logquad import log_cumtrapz_exp
 from .model import (
     ModelConfig,
     PathBundle,
@@ -49,7 +46,6 @@ __all__ = [
     "DomainError",
     "simulate",
     "ensemble_scan",
-    "solve_edge_exact",
     "simulate_lower_barrier_euler",
     "simulate_two_barrier",
     "escape_probability_bound",
@@ -400,37 +396,6 @@ def simulate(
         drifts=np.repeat(config.drifts, np.arange(1, N + 1)), observe=keep,
     )
     return SimulationResult(PathBundle(N, grid, out), int(clamps[0]))
-
-
-# ---------------------------------------------------------------------------
-# closed forms for one particle over a lower barrier
-
-
-def solve_edge_exact(
-    lower: SamplePath, driver: np.ndarray, start: float, gamma: float
-) -> SamplePath:
-    """Exact solution of dT = dX + exp(gamma * (lower - T)) dt, T(a) = start.
-
-    driver is the diffusion path X on the grid (pass W / sqrt(gamma) for the
-    scaled system, or W itself for the unscaled edge equation).  The solution
-
-        T(t) = start + X(t) - X(a)
-               + (1/gamma) log{1 + gamma * integral_a^t
-                                exp(gamma * (lower - X + X(a) - start)) ds}
-
-    is evaluated with trapezoid quadrature accumulated in log space, so the
-    exponent may reach hundreds of units without overflow.
-    """
-    if not 0 < gamma < np.inf:  # NaN fails too
-        raise ValueError(f"gamma must be positive and finite, got {gamma}")
-    grid = lower.grid
-    x = np.asarray(driver, dtype=float)
-    if x.shape != (grid.npoints,):
-        raise ValueError("driver and lower barrier must share the grid")
-    h = lower.values - x + x[0] - start
-    log_integral = log_cumtrapz_exp(gamma * h, grid.dt) + np.log(gamma)
-    lift = np.logaddexp(0.0, log_integral) / gamma
-    return SamplePath(grid, start + x - x[0] + lift)
 
 
 # one particle between fixed barrier paths: row 0 moves, rows 1.. are fixed

@@ -24,7 +24,6 @@ from whittaker2d import (
     TimeGrid,
     TriangularConfiguration,
     VariationalProblem,
-    brute_force_local_rate,
     ensemble_increments,
     equivalence_experiment,
     escape_probability_bound,
@@ -38,10 +37,10 @@ from whittaker2d import (
     simulate_two_barrier,
     smallball_probability,
     smoothed_reflection_term,
-    solve_edge_exact,
     total_rate,
     wilson_interval,
 )
+from whittaker2d._oracles import brute_force_local_rate, solve_edge_exact
 
 
 def _report(number, ok, detail):

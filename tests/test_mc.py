@@ -415,6 +415,45 @@ def test_interlace_tiles_match_one_scan(cores, small_tiles, n_cores):
     assert 0 < one[1].c_violation < one[0].c_violation < 1
 
 
+@pytest.mark.parametrize("n_cores", [2, 3])
+def test_tiles_draw_each_noise_block_once(cores, small_tiles, monkeypatch,
+                                          n_cores):
+    # 1009 replicates from 5: cut at R * i // n, neighbouring tiles would
+    # share the block of four that holds the cut
+    drawn = []
+    draw = mc.ensemble_increments
+
+    def recorded(seed, reps, *args):
+        drawn.append(reps)
+        return draw(seed, reps, *args)
+
+    class Recorded(IncrementStream):
+        def __init__(self, seed, replicates, *args):
+            drawn.append(replicates)
+            super().__init__(seed, replicates, *args)
+
+    monkeypatch.setattr(mc, "ensemble_increments", recorded)
+    monkeypatch.setattr(mc, "IncrementStream", Recorded)
+    cores(n_cores)
+    small_tiles()
+    reps = range(5, 1014)
+    free_cfg, (cfg, phi) = _cfg(1, 8.0), _STEPPED["N=2"]
+    for tiled in (
+        lambda: mc._maxdev(free_cfg, _FREE_GAMMAS, _FREE_GRID,
+                           _FREE_PHI.values, 11, reps),
+        lambda: mc._maxdev(cfg, np.array([4.0, 8.0]), _STEP_GRID,
+                           phi.values, 13, reps),
+    ):
+        drawn.clear()
+        tiled()
+        tiles = sorted(drawn, key=lambda t: t.start)
+        assert len(tiles) > 2 and all(tiles)
+        assert [t.start for t in tiles[1:]] == [t.stop for t in tiles[:-1]]
+        assert (tiles[0].start, tiles[-1].stop) == (reps.start, reps.stop)
+        blocks = [range(t[0] // mc._Q, t[-1] // mc._Q + 1) for t in tiles]
+        assert sum(map(len, blocks)) == len(set().union(*blocks))
+
+
 def test_tile_scans_draw_in_place(cores, small_tiles, monkeypatch):
     # with one tile per core no core is idle: each tile's scan draws its
     # 2500 steps in place, in a window of at least 2048 and the rest, on

@@ -1,6 +1,7 @@
 """The package namespace re-exports each module's public names once;
-importing it loads numpy but neither scipy nor concurrent.futures, and a
-small ldp_slope call loads no numpy.ma module that numpy had not."""
+importing it loads numpy but neither scipy nor concurrent.futures, the CLI
+runs where scipy cannot be imported, and a small ldp_slope call loads no
+numpy.ma module that numpy had not."""
 
 import os
 import subprocess
@@ -29,10 +30,40 @@ def _loaded_in_child(code):
 
 
 def test_import_loads_no_scipy():
-    # scipy is imported only inside brute_force_local_rate, the one caller
+    # scipy is imported only by the test oracles of whittaker2d._oracles,
+    # which neither the package namespace nor the CLI imports
     code = ("import sys, whittaker2d, whittaker2d.cli; "
-            "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])")
+            "print([m for m in sys.modules if m.split('.')[0] == 'scipy'"
+            " or m == 'whittaker2d._oracles'])")
     assert _loaded_in_child(code) == "[]"
+
+
+def test_cli_runs_without_scipy(tmp_path):
+    # as installed without the test extra: any import of scipy fails
+    t = [i / 10 for i in range(11)]
+    for name, text in (
+        ("drv", "t,value\n" + "".join(f"{x},0.0\n" for x in t)),
+        ("bar", "t,value\n" + "".join(f"{x},{x - 0.5}\n" for x in t)),
+        ("init", "T_1_1\n0.0\n"),
+        ("term", "T_1_1\n1.0\n"),
+    ):
+        (tmp_path / f"{name}.csv").write_text(text)
+    d = f"{tmp_path}{os.sep}"
+    argvs = [
+        ["simulate", "--n", "2", "--dt", "0.01", "--out", d + "run.csv"],
+        ["rate", "--bundle", d + "run.csv", "--out", d + "rate.csv"],
+        ["reflect", "--driver", d + "drv.csv", "--barrier", d + "bar.csv",
+         "--out", d + "ref.csv"],
+        ["optimize", "--init", d + "init.csv", "--terminal", d + "term.csv",
+         "--m", "8", "--out", d + "opt.csv"],
+    ]
+    code = f"""if True:
+        import sys
+        sys.modules["scipy"] = None
+        from whittaker2d.cli import main
+        print([main(argv) for argv in {argvs!r}])
+    """
+    assert _loaded_in_child(code).splitlines()[-1] == "[0, 0, 0, 0]"
 
 
 def test_import_loads_no_concurrent_futures():

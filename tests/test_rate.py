@@ -6,19 +6,18 @@ from hypothesis import strategies as st
 from whittaker2d import (
     ALTERNATE,
     CellLabel,
-    InfeasibleError,
     LEMMA,
     ModelConfig,
     PathBundle,
     SamplePath,
     TimeGrid,
     TriangularConfiguration,
-    brute_force_local_rate,
     classify,
     default_coincidence_eps,
     particle_rate,
     total_rate,
 )
+from whittaker2d._oracles import InfeasibleError, brute_force_local_rate
 
 EPS = 1e-9
 

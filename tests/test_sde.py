@@ -22,10 +22,10 @@ from whittaker2d import (
     simulate,
     simulate_lower_barrier_euler,
     simulate_two_barrier,
-    solve_edge_exact,
     tri_offset,
 )
 from whittaker2d import sde
+from whittaker2d._oracles import solve_edge_exact
 from whittaker2d.noise import IncrementStream, ensemble_increments
 
 
