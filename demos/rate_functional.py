@@ -8,8 +8,6 @@ violations returning the infinite sentinel with a diagnosis.
 import numpy as np
 
 from whittaker2d import (
-    ALTERNATE,
-    LEMMA,
     ModelConfig,
     PathBundle,
     SamplePath,
@@ -40,9 +38,6 @@ def main():
     falling = SamplePath.from_function(grid, lambda t: -t)
     print(f"glued ascent:  {particle_rate(rising, None, rising, eps):.4f}")
     print(f"glued descent: {particle_rate(falling, None, falling, eps):.4f}")
-    alternate = particle_rate(rising, None, rising, eps, convention=ALTERNATE)
-    print("alternate one-sided convention charges the ascent instead:",
-          f"{alternate:.4f}", f"(default {LEMMA!r})")
 
     # order violation: the sentinel names the offending particle pair
     crossing_end = TriangularConfiguration(2, np.array([-0.5, 0.5, 0.5]))

@@ -39,7 +39,7 @@ from .model import (
     tri_size,
 )
 from .noise import ensemble_increments
-from .rate import LEMMA, default_coincidence_eps, total_rate
+from .rate import default_coincidence_eps, total_rate
 from .sde import NonFiniteError, simulate
 from .skorokhod import reflect_above, reflect_below
 from .mc import equivalence_experiment, interlace_event_frequency, ldp_slope
@@ -167,7 +167,7 @@ def _cmd_rate(args) -> int:
         if args.eps is not None
         else default_coincidence_eps(bundle.grid.dt, args.gamma)
     )
-    breakdown = total_rate(bundle, config, eps, args.convention)
+    breakdown = total_rate(bundle, config, eps)
     header = ("particle,interior,upper_coincident,lower_coincident,"
               "upper_measure,lower_measure,both_measure,reason,total")
     rows = [[f"T_{n}_{k}", *dataclasses.astuple(t), t.total]
@@ -273,7 +273,7 @@ def _cmd_optimize(args) -> int:
         terminal=term,
         max_iters=args.iters,
     )
-    result = minimize_rate(problem, args.convention)
+    result = minimize_rate(problem)
     with _output(args.out) as f:
         bundle_to_csv(f, result.bundle, [f"config={_resolved(args)}"])
         f.write(
@@ -319,9 +319,6 @@ def _build_parser() -> tuple[_Parser, dict]:
     p.add_argument("--init", help="initial configuration CSV")
     p.add_argument("--gamma", type=float, default=8.0)
     p.add_argument("--eps", type=float, default=None)
-    p.add_argument(
-        "--convention", choices=["lemma", "theorem"], default=LEMMA
-    )
 
     p = sub("reflect", _cmd_reflect, help="one-sided reflection, CSV in/out")
     p.add_argument("--driver", required=True)
@@ -378,9 +375,6 @@ def _build_parser() -> tuple[_Parser, dict]:
     p.add_argument("--iters", type=int, default=20000)
     p.add_argument("--t0", type=float, default=0.0)
     p.add_argument("--t1", type=float, default=1.0)
-    p.add_argument(
-        "--convention", choices=["lemma", "theorem"], default=LEMMA
-    )
 
     return parser, registry
 

@@ -25,6 +25,7 @@ reports no clamps.
 
 from __future__ import annotations
 
+import operator
 import os
 import threading
 from dataclasses import dataclass
@@ -120,15 +121,27 @@ def _distinct(values: np.ndarray) -> int:
             + bool((~nan).any()) + bool(nan.any()))
 
 
-def _checked_gammas(gammas, batch_size: int) -> np.ndarray:
-    """gammas as a float array, once every gamma is positive and finite and
-    batch_size is at least 1 (a smaller one would make no progress)."""
+def _checked_gammas(gammas, n_samples: int, batch_size: int):
+    """(gammas as a float array, n_samples, batch_size as ints), once every
+    gamma is positive and finite, both counts are integers, n_samples is
+    positive and batch_size is at least 1 (a smaller one would make no
+    progress)."""
+    counts = []
+    for name, value in (("n_samples", n_samples), ("batch_size", batch_size)):
+        try:
+            counts.append(operator.index(value))
+        except TypeError:
+            msg = f"{name} must be an integer, got {value!r}"
+            raise ValueError(msg) from None
+    n_samples, batch_size = counts
+    if n_samples <= 0:
+        raise EmptySampleError("n_samples must be positive")
     gammas = np.asarray(gammas, dtype=float)
     if not np.all(np.isfinite(gammas) & (gammas > 0)):
         raise ValueError("gamma must be positive and finite")
     if batch_size < 1:
         raise ValueError("batch_size must be at least 1")
-    return gammas
+    return gammas, n_samples, batch_size
 
 
 # The tiling rule, one for every estimator.  A batch of R replicates, each
@@ -327,9 +340,9 @@ def _smallball(config, gammas, phi, delta, n_samples, seed, batch_size,
 
     Each batch of increments is drawn once and stepped at every gamma in
     one scan, so replicate r sees the same noise at all of them."""
-    if n_samples <= 0:
-        raise EmptySampleError("n_samples must be positive")
-    stacked = _checked_gammas(gammas, batch_size)
+    stacked, n_samples, batch_size = _checked_gammas(
+        gammas, n_samples, batch_size
+    )
     if not delta > 0:  # NaN fails too
         raise ValueError(f"delta must be positive, got {delta}")
     if phi.N != config.N:
@@ -500,9 +513,9 @@ def interlace_event_frequency(
     must divide [0, 1] (TimeGrid.from_dt).  margin_scale multiplies every
     margin (frequencies must not increase when the margins are widened).
     """
-    if n_samples <= 0:
-        raise EmptySampleError("n_samples must be positive")
-    gammas = _checked_gammas(gammas, batch_size)
+    gammas, n_samples, batch_size = _checked_gammas(
+        gammas, n_samples, batch_size
+    )
     grid = TimeGrid.from_dt(0.0, 1.0, dt)
     if gammas.size == 0:
         return []
@@ -602,9 +615,7 @@ def equivalence_experiment(
     gap of that relation that the scan reports; for those replicates the
     sup gap must not exceed exp(-gamma*eta/2) * (b-a).
     """
-    if n_samples <= 0:
-        raise EmptySampleError("n_samples must be positive")
-    _checked_gammas(gamma, _EQUIVALENCE_BATCH)
+    _, n_samples, _ = _checked_gammas(gamma, n_samples, _EQUIVALENCE_BATCH)
     if not 0.0 <= eta < np.inf:  # NaN fails too
         raise ValueError(f"eta must be nonnegative and finite, got {eta}")
     upper = eta + 0.2

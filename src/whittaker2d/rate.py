@@ -9,12 +9,17 @@ resists is charged:
     glued to the lower barrier:  (slope)_- ^2 / 2   (descent costs)
     glued to the upper barrier:  (slope)_+ ^2 / 2   (ascent costs)
 
-This is the canonical convention, matching the one-sided reflection
-derivations and the drift directions of the dynamics; the opposite
-assignment is available behind convention="theorem" so the discrepancy can
-be measured rather than guessed at.  Crossing a barrier by more than eps,
-or starting away from the prescribed initial value, yields the +inf
-sentinel with an explicit reason.
+There is one convention, the lemma's one-sided reading.  The contraction
+principle through the reflection map confirms it at gamma = infinity:
+criterion 5's brute-force oracle, which minimizes the driver action over
+the drivers whose reflection is the path, matches it to 2.2e-16 on that
+criterion's 20 glued pairs, where the opposite assignment (ascent charged
+on the lower barrier, descent on the upper) is off by up to 73%.  A
+finite-gamma experiment measures how the soft system approaches this
+limit, so it needs no second convention to compare against.
+
+Crossing a barrier by more than eps, or starting away from the prescribed
+initial value, yields the +inf sentinel with an explicit reason.
 """
 
 from __future__ import annotations
@@ -34,8 +39,6 @@ from .model import (
 )
 
 __all__ = [
-    "LEMMA",
-    "ALTERNATE",
     "CellLabel",
     "RateBreakdown",
     "classify",
@@ -43,11 +46,6 @@ __all__ = [
     "total_rate",
     "default_coincidence_eps",
 ]
-
-LEMMA = "lemma"
-ALTERNATE = "theorem"
-_CONVENTIONS = (LEMMA, ALTERNATE)
-
 
 class CellLabel(enum.IntEnum):
     INTERIOR = 0
@@ -100,32 +98,22 @@ def _cell_labels(
 
 
 def _penalized_slopes(
-    vals: np.ndarray,
-    topology: Topology,
-    dt: float,
-    eps: float,
-    convention: str,
+    vals: np.ndarray, topology: Topology, dt: float, eps: float
 ):
     """The one-sided-penalty kernel: (labels, penalized slopes), each (P, M).
 
     The penalized slope is the full slope on interior and crossing cells.
     A cell glued to the lower barrier keeps only descent, min(slope, 0), one
-    glued to the upper barrier only ascent, max(slope, 0) (swapped under
-    convention="theorem"), and a both-coincident cell keeps 0.
+    glued to the upper barrier only ascent, max(slope, 0), and a
+    both-coincident cell keeps 0.
     """
-    if convention not in _CONVENTIONS:
-        raise ValueError(f"unknown convention {convention!r}")
     labels = _cell_labels(vals, topology, eps)
     pen = np.diff(vals, axis=1)
     pen /= dt
-    lower_kept, upper_kept = (
-        (np.minimum, np.maximum) if convention == LEMMA
-        else (np.maximum, np.minimum)
-    )
     glued = labels == _LOWER
-    pen[glued] = lower_kept(pen[glued], 0.0)
+    pen[glued] = np.minimum(pen[glued], 0.0)
     glued = labels == _UPPER
-    pen[glued] = upper_kept(pen[glued], 0.0)
+    pen[glued] = np.maximum(pen[glued], 0.0)
     pen[labels == _BOTH] = 0.0
     return labels, pen
 
@@ -210,7 +198,6 @@ def particle_rate(
     lower: SamplePath | None,
     eps: float,
     initial_value: float | None = None,
-    convention: str = LEMMA,
 ) -> float:
     """Action of one particle between its (possibly absent) barriers: with
     no barrier it is the Schilder (free quadratic) action, and over one
@@ -221,7 +208,7 @@ def particle_rate(
     """
     dt = phi.grid.dt
     vals, topo = _with_barriers(phi, upper, lower)
-    labels, pen = _penalized_slopes(vals, topo, dt, eps, convention)
+    labels, pen = _penalized_slopes(vals, topo, dt, eps)
     terms = _row_terms(labels[0], pen[0], dt, vals[0, 0], eps, initial_value)
     return terms.total
 
@@ -241,10 +228,7 @@ class RateBreakdown:
 
 
 def total_rate(
-    bundle: PathBundle,
-    config: ModelConfig,
-    eps: float,
-    convention: str = LEMMA,
+    bundle: PathBundle, config: ModelConfig, eps: float
 ) -> RateBreakdown:
     """Sum of particle actions with barriers wired from the level above.
 
@@ -256,7 +240,7 @@ def total_rate(
         raise ValueError("bundle and config disagree on N")
     dt = bundle.grid.dt
     labels, pen = _penalized_slopes(
-        bundle.values, Topology.triangle(bundle.N), dt, eps, convention
+        bundle.values, Topology.triangle(bundle.N), dt, eps
     )
     terms = {}
     total = 0.0

@@ -24,7 +24,7 @@ from .model import (
     TriangularConfiguration,
     validate_initial_entries,
 )
-from .rate import LEMMA, _penalized_slopes
+from .rate import _penalized_slopes
 
 __all__ = ["VariationalProblem", "MinimizeResult", "minimize_rate"]
 
@@ -84,14 +84,10 @@ def _project_interlacing(vals: np.ndarray, N: int, sweeps: int = 60) -> float:
     return float(min(gaps, default=np.inf))
 
 
-def _objective_and_grad(
-    vals: np.ndarray, N: int, grid: TimeGrid, eps: float, convention: str
-):
+def _objective_and_grad(vals: np.ndarray, N: int, grid: TimeGrid, eps: float):
     """Bundle action of the node-value array (P, M+1) and its (sub)gradient."""
     dt = grid.dt
-    _, pen_slope = _penalized_slopes(
-        vals, Topology.triangle(N), dt, eps, convention
-    )
+    _, pen_slope = _penalized_slopes(vals, Topology.triangle(N), dt, eps)
     value = 0.5 * dt * float(np.sum(pen_slope**2))
     # d(value)/d(vals[:, i]) = pen_slope[:, i-1] - pen_slope[:, i]
     grad = np.zeros_like(vals)
@@ -100,9 +96,7 @@ def _objective_and_grad(
     return value, grad
 
 
-def minimize_rate(
-    problem: VariationalProblem, convention: str = LEMMA
-) -> MinimizeResult:
+def minimize_rate(problem: VariationalProblem) -> MinimizeResult:
     """Descend the bundle action from the linear-interpolation baseline.
 
     Endpoint slices stay fixed; every iterate is projected back onto the
@@ -122,7 +116,7 @@ def minimize_rate(
 
     project(vals)  # linear interp of cone points stays in cone
 
-    f, grad = _objective_and_grad(vals, N, grid, problem.eps, convention)
+    f, grad = _objective_and_grad(vals, N, grid, problem.eps)
     baseline_rate = f
     step = grid.dt / 2.0
     it = 0
@@ -138,9 +132,7 @@ def minimize_rate(
             cand[:, 0] = vals[:, 0]
             cand[:, -1] = vals[:, -1]
             project(cand)
-            f_cand, g_cand = _objective_and_grad(
-                cand, N, grid, problem.eps, convention
-            )
+            f_cand, g_cand = _objective_and_grad(cand, N, grid, problem.eps)
             if f_cand < f:
                 trial = (cand, f_cand, g_cand)
                 break

@@ -292,6 +292,25 @@ def test_unknown_config_keys_rejected(tmp_path, capsys):
     assert "bogus" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["rate", "--bundle", "run.csv"],
+     ["optimize", "--init", "init.csv", "--terminal", "term.csv"]],
+    ids=["rate", "optimize"],
+)
+def test_convention_is_no_longer_an_option(argv, tmp_path, capsys):
+    # the one-sided penalty is the only convention; both rejections come
+    # before any input file is opened
+    code, out, err = run(argv + ["--convention", "lemma"], capsys)
+    assert (code, out) == (1, "")
+    assert "--convention" in err
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"convention": "lemma"}))
+    code, out, err = run(argv + ["--config", str(cfg)], capsys)
+    assert (code, out) == (1, "")
+    assert "unknown config keys: convention" in err
+
+
 def test_config_file_with_flag_override(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"gamma": 4.0, "dt": 0.01, "seed": 3}))

@@ -736,6 +736,36 @@ def test_batch_size_below_one_rejected(call):
             call(b)
 
 
+# each estimator's reported n_samples, on a ball wide enough that every
+# replicate hits
+_REPORTED_N_SAMPLES = {
+    "smallball_probability": lambda n, **kw: smallball_probability(
+        _cfg(1, 4.0), _FLAT1, 10.0, n, seed=1, **kw).n_samples,
+    "ldp_slope": lambda n, **kw: ldp_slope(
+        _cfg(1, 4.0), _FLAT1, 10.0, [2.0, 4.0, 8.0], n, seed=1,
+        **kw).results[0].n_samples,
+    "interlace_event_frequency": lambda n, **kw: interlace_event_frequency(
+        [16.0], n, seed=1, dt=0.1, **kw)[0].n_samples,
+    "equivalence_experiment": lambda n: equivalence_experiment(
+        16.0, 0.1, _FLAT1.grid, n, seed=1).n_samples,
+}
+
+
+@pytest.mark.parametrize("name", list(_REPORTED_N_SAMPLES))
+def test_non_integer_counts_rejected_at_the_boundary(name):
+    reported = _REPORTED_N_SAMPLES[name]
+    for bad in (2.5, "10", None):
+        with pytest.raises(ValueError, match="n_samples must be an integer"):
+            reported(bad)
+    if name != "equivalence_experiment":  # its batch size is fixed
+        with pytest.raises(ValueError, match="batch_size must be an integer"):
+            reported(10, batch_size=2.0)
+    # a bool or numpy integer is reported as the plain int it stands for
+    for n in (True, np.int64(3)):
+        got = reported(n)
+        assert type(got) is int and got == int(n)
+
+
 @pytest.mark.parametrize("gamma", [0.0, -1.0, np.nan, np.inf])
 def test_bad_gamma_rejected_at_the_boundary(gamma):
     grid = TimeGrid(0.0, 1.0, 10)

@@ -4,9 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from whittaker2d import (
-    ALTERNATE,
     CellLabel,
-    LEMMA,
     ModelConfig,
     PathBundle,
     SamplePath,
@@ -150,14 +148,8 @@ def test_time_reversal_duality():
 def test_convention_flag_swaps_one_sided_costs():
     g = _grid(1000)
     rising = _path(g, lambda t: t)
-    # lemma: a rising path glued to its lower barrier is free
-    assert particle_rate(rising, None, rising, 1e-6, convention=LEMMA) == 0.0
-    # the alternate reading charges the ascent instead
-    assert particle_rate(
-        rising, None, rising, 1e-6, convention=ALTERNATE
-    ) == pytest.approx(0.5, rel=1e-9)
-    with pytest.raises(ValueError):
-        particle_rate(rising, None, rising, 1e-6, convention="other")
+    # a rising path glued to its lower barrier is free
+    assert particle_rate(rising, None, rising, 1e-6) == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -247,9 +239,7 @@ def test_total_rate_crossing_sentinel():
     assert br.total == np.inf
     assert br.infinity_reason == "crossing"
     assert br.offending is not None
-    # the convention and eps are checked before any row is scored
-    with pytest.raises(ValueError):
-        total_rate(bundle, cfg, 1e-4, "other")
+    # eps is checked before any row is scored
     with pytest.raises(ValueError):
         total_rate(bundle, cfg, -1e-4)
 

@@ -108,7 +108,7 @@ def test_objective_matches_schilder_when_interior():
             np.linspace(-2.0, -1.0, 17),
         ]
     )
-    value, grad = _objective_and_grad(vals, 2, grid, 1e-6, "lemma")
+    value, grad = _objective_and_grad(vals, 2, grid, 1e-6)
     expect = 0.5 * (1.0 + 1.5**2 + 1.0)
     assert value == pytest.approx(expect, rel=1e-9)
     # interior gradient of a straight line vanishes
@@ -137,11 +137,6 @@ def test_stationary_baseline_costs_no_line_search(monkeypatch):
     assert result.converged
     assert result.rate == result.baseline_rate
     assert len(calls) <= 2
-
-
-def test_minimize_rate_rejects_unknown_convention():
-    with pytest.raises(ValueError):
-        minimize_rate(_problem(2, [0.0, 1.0, -1.0], [1.0, 2.0, 0.0]), "lemmma")
 
 
 def test_projection_reports_remaining_defect():
@@ -183,17 +178,16 @@ def _glued_bundle(rng, N, m):
 
 
 @pytest.mark.parametrize("N", [2, 3])
-@pytest.mark.parametrize("convention", ["lemma", "theorem"])
 @pytest.mark.parametrize("eps", [1e-6, 1e-2])
-def test_objective_is_total_rate(N, convention, eps):
+def test_objective_is_total_rate(N, eps):
     rng = np.random.default_rng([N, int(eps * 1e6)])
     grid = TimeGrid(0.0, 1.0, 50)
     cfg = ModelConfig(N=N, gamma=8.0, initial=TriangularConfiguration.zeros(N))
     for _ in range(5):
         vals = _glued_bundle(rng, N, grid.steps)
-        br = total_rate(PathBundle(N, grid, vals), cfg, eps, convention)
+        br = total_rate(PathBundle(N, grid, vals), cfg, eps)
         assert br.infinity_reason == "none"
         assert any(t.upper_measure + t.lower_measure > 0
                    for t in br.terms.values())
-        value, _ = _objective_and_grad(vals, N, grid, eps, convention)
+        value, _ = _objective_and_grad(vals, N, grid, eps)
         assert value == pytest.approx(br.total, rel=1e-12)
