@@ -1,11 +1,13 @@
 """Command-line front end.
 
 Subcommands: simulate, rate, reflect, slope, interlace, equivalence,
-optimize.  Parameters come from flags or from a JSON document passed via
---config; flags override the file, unknown keys are rejected, and every
-output embeds the resolved configuration as a `# config=...` header so any
-run can be reproduced from its own output.  Exit codes: 0 success, 1
-validation or usage error, 2 runtime error.
+optimize.  Parameters come from flags or from a JSON object passed via
+--config, whose keys are read as the flags they name: each value as the
+text of `--<flag>=<value>`, a list's items joined by commas, a null as
+the flag's default.  Flags on the command line override the file, unknown
+keys are rejected, and every output embeds the resolved configuration as
+a `# config=...` header so any run can be reproduced from its own output.
+Exit codes: 0 success, 1 validation or usage error, 2 runtime error.
 
 Every output, to stdout or --out, has one layout, written by
 model._write_csv: the `# config=` line, any other `# ` comment lines, the
@@ -32,6 +34,7 @@ from .model import (
     TimeGrid,
     TriangularConfiguration,
     _float_rows,
+    _grid_of,
     _write_csv,
     bundle_from_csv,
     bundle_to_csv,
@@ -59,28 +62,27 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _positive_gammas(values) -> list[float]:
-    """values as floats, once there is at least one and every one is
-    positive and finite."""
-    gammas = [float(g) for g in values]
-    if not gammas:
-        raise ValueError("need at least one gamma")
-    if not all(0.0 < g < np.inf for g in gammas):
-        raise ValueError(f"gammas must be positive and finite, got {gammas}")
+def _gamma_list(text: str) -> list[float]:
+    """Comma-separated gammas: at least one, each positive and finite."""
+    try:
+        gammas = [float(x) for x in text.split(",") if x.strip()]
+        if not gammas:
+            raise ValueError("need at least one gamma")
+        if not all(0.0 < g < np.inf for g in gammas):
+            raise ValueError(
+                f"gammas must be positive and finite, got {gammas}")
+    except ValueError as e:
+        raise argparse.ArgumentTypeError(f"bad gamma list {text!r}: {e}")
     return gammas
 
 
-def _gamma_list(text: str) -> list[float]:
-    try:
-        return _positive_gammas(x for x in text.split(",") if x.strip())
-    except ValueError as e:
-        raise argparse.ArgumentTypeError(f"bad gamma list {text!r}: {e}")
-
-
-def _load_config_file(path: str) -> dict:
+def _config_flags(path: str, sub: _Parser) -> list[str]:
+    """The JSON object in file path as the text of subcommand parser sub's
+    flags: each key as `--<flag>=<value>`, a list's items joined by
+    commas, a null left out so that its flag keeps its default."""
     try:
         with open(path) as f:
-            return json.load(f)
+            cfg = json.load(f)
     except json.JSONDecodeError as e:
         raise UsageError(
             f"{path}: malformed JSON at line {e.lineno} column {e.colno}: "
@@ -88,6 +90,18 @@ def _load_config_file(path: str) -> dict:
         )
     except OSError as e:
         raise UsageError(f"cannot read config {path}: {e}")
+    if not isinstance(cfg, dict):
+        raise UsageError(f"{path}: config must be a JSON object")
+    flags = {a.dest: a.option_strings[0] for a in sub._actions
+             if a.dest not in ("help", "config")}
+    unknown = sorted(set(cfg) - set(flags))
+    if unknown:
+        raise UsageError(f"unknown config keys: {', '.join(unknown)}")
+    return [
+        f"{flags[k]}={','.join(map(str, v)) if isinstance(v, list) else v}"
+        for k, v in cfg.items()
+        if v is not None
+    ]
 
 
 def _resolved(args: argparse.Namespace) -> str:
@@ -122,18 +136,8 @@ def _read_configuration(path: str | None, N: int) -> TriangularConfiguration:
 def _read_path_csv(path: str) -> SamplePath:
     """Single-path CSV: header `t,value`, one row per grid point."""
     with open(path) as f:
-        try:
-            _, rows = _float_rows(f, 2, skip=("#", "t,"))
-        except ValueError as e:
-            raise UsageError(str(e)) from None
-    if len(rows) < 2:
-        raise UsageError(f"{path}: need at least two rows")
-    t, v = rows.T
-    dts = np.diff(t)
-    if not np.allclose(dts, dts[0], rtol=1e-9, atol=1e-12):
-        raise UsageError(f"{path}: grid is not uniform")
-    grid = TimeGrid(float(t[0]), float(t[-1]), len(t) - 1)
-    return SamplePath(grid, v)
+        _, rows = _float_rows(f, 2, skip=("#", "t,"))
+        return SamplePath(_grid_of(f, rows[:, 0]), rows[:, 1])
 
 
 # ---------------------------------------------------------------------------
@@ -287,6 +291,7 @@ def _cmd_optimize(args) -> int:
 # parser assembly
 
 
+@functools.cache
 def _build_parser() -> tuple[_Parser, dict]:
     parser = _Parser(prog="whittaker2d")
     parser.add_argument(
@@ -379,31 +384,19 @@ def _build_parser() -> tuple[_Parser, dict]:
     return parser, registry
 
 
-@functools.cache
-def _flag_parser() -> _Parser:
-    """The tree of built-in defaults, built once per process; a --config
-    call sets its file's defaults on a tree of its own."""
-    return _build_parser()[0]
-
-
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = _flag_parser().parse_args(argv)
-        if args.config:
-            file_cfg = _load_config_file(args.config)
-            parser, registry = _build_parser()
-            known = {a.dest for a in registry[args.command]._actions}
-            unknown = sorted(set(file_cfg) - known)
-            if unknown:
-                raise UsageError(
-                    f"unknown config keys: {', '.join(unknown)}"
-                )
-            if "gammas" in file_cfg:
-                file_cfg["gammas"] = _positive_gammas(file_cfg["gammas"])
-            # flags still win: set file values as defaults and reparse
-            registry[args.command].set_defaults(**file_cfg)
-            args = parser.parse_args(argv)
+        parser, registry = _build_parser()
+        # a --config file's values become flag text after the subcommand:
+        # each gets its flag's type and checks, may give a required flag,
+        # and loses to the same flag on the command line, which comes later
+        pre = _Parser(add_help=False)
+        pre.add_argument("--config")
+        path = pre.parse_known_args(argv)[0].config
+        if path is not None and argv[0] in registry:
+            argv[1:1] = _config_flags(path, registry[argv[0]])
+        args = parser.parse_args(argv)
         return args.func(args)
     except (UsageError, ValueError, KeyError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)

@@ -25,7 +25,6 @@ reports no clamps.
 
 from __future__ import annotations
 
-import operator
 import os
 import threading
 from dataclasses import dataclass
@@ -38,6 +37,7 @@ from .model import (
     PathBundle,
     TimeGrid,
     Topology,
+    _count,
     tri_offset,
     tri_size,
 )
@@ -77,9 +77,13 @@ class DegenerateFitError(RuntimeError):
 
 
 def wilson_interval(hits: int, n: int):
-    """95% Wilson score interval for a binomial proportion."""
+    """95% Wilson score interval for a binomial proportion: hits successes
+    in n trials, integer counts with 0 <= hits <= n."""
+    hits, n = _count("hits", hits), _count("n", n)
     if n <= 0:
         raise EmptySampleError("need at least one sample")
+    if not 0 <= hits <= n:
+        raise ValueError(f"hits must be in [0, n={n}], got {hits}")
     p = hits / n
     z = 1.959963984540054  # the standard normal's 97.5% quantile
     denom = 1.0 + z * z / n
@@ -126,14 +130,8 @@ def _checked_gammas(gammas, n_samples: int, batch_size: int):
     gamma is positive and finite, both counts are integers, n_samples is
     positive and batch_size is at least 1 (a smaller one would make no
     progress)."""
-    counts = []
-    for name, value in (("n_samples", n_samples), ("batch_size", batch_size)):
-        try:
-            counts.append(operator.index(value))
-        except TypeError:
-            msg = f"{name} must be an integer, got {value!r}"
-            raise ValueError(msg) from None
-    n_samples, batch_size = counts
+    n_samples = _count("n_samples", n_samples)
+    batch_size = _count("batch_size", batch_size)
     if n_samples <= 0:
         raise EmptySampleError("n_samples must be positive")
     gammas = np.asarray(gammas, dtype=float)

@@ -137,6 +137,15 @@ def _check_levels(N: int) -> None:
         raise ValueError(f"need at least one level, got N={N}")
 
 
+def _count(name: str, value) -> int:
+    """value as a plain int, read through operator.index; a ValueError
+    naming the argument where value is not an integer."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
 def _frozen(a: np.ndarray) -> np.ndarray:
     out = np.array(a, dtype=float)
     out.flags.writeable = False
@@ -154,11 +163,7 @@ class TimeGrid:
     def __post_init__(self):
         if not (0.0 <= self.a < self.b <= 1.0):
             raise ValueError(f"need 0 <= a < b <= 1, got [{self.a}, {self.b}]")
-        try:
-            ok = operator.index(self.steps) >= 1
-        except TypeError:
-            ok = False
-        if not ok:
+        if _count("steps", self.steps) < 1:
             raise ValueError(f"steps must be an int >= 1, got {self.steps}")
 
     @property
@@ -474,6 +479,12 @@ def _write_csv(f, header: str, rows, comments=(), footer=()) -> None:
 _floats = functools.partial(np.loadtxt, delimiter=",", comments=None, ndmin=2)
 
 
+def _where(f) -> str:
+    """`<name>: `, the prefix that names text file f in a message, if f has
+    a name."""
+    return "" if getattr(f, "name", None) is None else f"{f.name}: "
+
+
 def _float_rows(f, ncols: int | None = None, skip=("#",)):
     """Header fields (None if ncols is given) and (n, ncols) float rows of
     CSV text f, skipping blank lines and those starting with a prefix in
@@ -490,7 +501,6 @@ def _float_rows(f, ncols: int | None = None, skip=("#",)):
         if data.shape[1] == ncols:
             return header, data
     # a malformed row: find the first, row by row
-    where = "" if getattr(f, "name", None) is None else f"{f.name}: "
     numbered = [(i, ln) for i, ln in enumerate(lines, 1)
                 if ln and not ln.startswith(skip)]
     for i, ln in numbered[header is not None :]:
@@ -508,7 +518,7 @@ def _float_rows(f, ncols: int | None = None, skip=("#",)):
                         continue
                 raise ValueError(f"could not convert string to float: {x!r}")
         except ValueError as e:
-            raise ValueError(f"{where}line {i}: {e}") from None
+            raise ValueError(f"{_where(f)}line {i}: {e}") from None
 
 
 def bundle_from_csv(f) -> PathBundle:
@@ -524,12 +534,19 @@ def bundle_from_csv(f) -> PathBundle:
     expected = _bundle_header(N).split(",")
     if header != expected:
         raise ValueError(f"unexpected header {header}, want {expected}")
-    t = data[:, 0]
+    return PathBundle(N, _grid_of(f, data[:, 0]), data[:, 1:].T)
+
+
+def _grid_of(f, t) -> TimeGrid:
+    """The uniform grid whose times are t, read from CSV text f; a
+    ValueError naming f's file, if it has a name, where t has fewer than
+    two times or unequal steps."""
+    if len(t) < 2:
+        raise ValueError(f"{_where(f)}need at least two rows")
     dts = np.diff(t)
-    if len(t) < 2 or not np.allclose(dts, dts[0], rtol=1e-9, atol=1e-12):
-        raise ValueError("grid in CSV is not uniform")
-    grid = TimeGrid(a=float(t[0]), b=float(t[-1]), steps=len(t) - 1)
-    return PathBundle(N, grid, data[:, 1:].T)
+    if not np.allclose(dts, dts[0], rtol=1e-9, atol=1e-12):
+        raise ValueError(f"{_where(f)}grid is not uniform")
+    return TimeGrid(float(t[0]), float(t[-1]), len(t) - 1)
 
 
 def configuration_to_csv(f, config: TriangularConfiguration) -> None:

@@ -26,17 +26,15 @@ scaling itself; noise is gamma-free.
 
 from __future__ import annotations
 
-import operator
-
 import numpy as np
 from numpy.random import Generator, Philox
 
-from .model import TimeGrid
+from .model import TimeGrid, _count
 
 __all__ = ["ensemble_increments"]
 
 _Q = 4  # replicates per Philox stream: rep is slot rep % _Q of block rep // _Q
-_SCRATCH_BYTES = 1 << 18  # a fill's scratch buffer of whole blocks, at most
+_SCRATCH_BYTES = 1 << 18  # a fill's scratch, or one block's window if larger
 
 
 def ensemble_increments(
@@ -62,7 +60,7 @@ class IncrementStream:
     so successive windows hold exactly the values of one draw of all M
     steps, while only one window is held.  Each fill draws every block of
     four replicates that the range touches, whole, one standard_normal call
-    per block (more only where a block's window exceeds the scratch).
+    per block.
     """
 
     def __init__(
@@ -79,11 +77,7 @@ class IncrementStream:
         ends = (replicates[0], replicates[-1]) if replicates else ()
         for name, values in (("seed", (seed,)), ("replicate", ends)):
             for value in values:
-                try:
-                    ok = 0 <= operator.index(value) < 2**64
-                except TypeError:
-                    ok = False
-                if not ok:
+                if not 0 <= _count(name, value) < 2**64:
                     raise ValueError(
                         f"{name} must be an integer in [0, 2**64), got {value}"
                     )
@@ -104,12 +98,11 @@ class IncrementStream:
         # range's block (off + i) // _Q
         first, off = divmod(self._replicates.start, _Q)
         nblocks = -(-(off + R) // _Q) if R * P else 0
-        # the scratch holds nb blocks of ks steps: every block's whole
-        # window where one fits, else one block a piece of steps at a time
-        step = _Q * max(P, 1) * 8  # bytes of one step of a block
-        ks = max(1, min(k, _SCRATCH_BYTES // step))
-        nb = max(1, min(nblocks, _SCRATCH_BYTES // (ks * step)))
-        scratch = np.empty((nb, ks, _Q, P))
+        # the scratch holds the whole windows of nb blocks: as many as fit
+        # in _SCRATCH_BYTES, and at least one
+        window = _Q * max(k * P, 1) * 8  # bytes of one block's window
+        nb = max(1, min(nblocks, _SCRATCH_BYTES // window))
+        scratch = np.empty((nb, k, _Q, P))
         bit = Philox(key=0)  # re-keyed for every block below
         rng = Generator(bit)
         # block b has key (seed, b) and counter block [0, 1, 0, 0].  The
@@ -126,32 +119,26 @@ class IncrementStream:
         }
         opened = []
         for g0 in range(0, nblocks, nb):
-            g1 = min(g0 + nb, nblocks)
-            for s0 in range(0, k, ks):
-                buf = scratch[: g1 - g0, : min(ks, k - s0)]
-                for j in range(g0, g1):
-                    # a block is opened at its first piece; a later piece
-                    # draws on from the one block the scratch then holds
-                    if s0 == 0:
-                        key[1] = first + j
-                        if self._open is not None:
-                            g = self._open[j]
-                        elif more:
-                            # a stream that outlives this window keeps a
-                            # generator of its own, opened where the
-                            # re-keyed one would be: once, instead of saving
-                            # and restoring a state at every window
-                            g = Generator(Philox(
-                                key=np.array(key, dtype=np.uint64),
-                                counter=[0, 1, 0, 0]))
-                            opened.append(g)
-                        else:
-                            bit.state = fresh
-                            g = rng
-                    # buf[j - g0] is (steps, _Q, P) and C-contiguous: the
-                    # block's next normals, step-major
-                    g.standard_normal(out=buf[j - g0])
-                self._place(buf, out[:, s0 : s0 + buf.shape[1]], g0, off)
+            buf = scratch[: min(nb, nblocks - g0)]
+            for j, block in enumerate(buf, g0):
+                key[1] = first + j
+                if self._open is not None:
+                    g = self._open[j]
+                elif more:
+                    # a stream that outlives this window keeps a generator
+                    # of its own, opened where the re-keyed one would be:
+                    # once, instead of saving and restoring a state at
+                    # every window
+                    g = Generator(Philox(key=np.array(key, dtype=np.uint64),
+                                         counter=[0, 1, 0, 0]))
+                    opened.append(g)
+                else:
+                    bit.state = fresh
+                    g = rng
+                # block is (k, _Q, P) and C-contiguous: its next normals,
+                # step-major
+                g.standard_normal(out=block)
+            self._place(buf, out, g0, off)
         if not more:
             self._open = None
         elif self._open is None and k:

@@ -22,6 +22,7 @@ from .model import (
     TimeGrid,
     Topology,
     TriangularConfiguration,
+    _count,
     validate_initial_entries,
 )
 from .rate import _penalized_slopes
@@ -41,6 +42,8 @@ class VariationalProblem:
     max_iters: int = 20000
 
     def __post_init__(self):
+        if _count("max_iters", self.max_iters) < 0:
+            raise ValueError(f"max_iters must be >= 0, got {self.max_iters}")
         for name, cfg in (("initial", self.initial), ("terminal", self.terminal)):
             if cfg.N != self.N:
                 raise ValueError(f"{name} configuration N mismatch")

@@ -334,6 +334,119 @@ def test_config_defaults_do_not_outlive_their_call(tmp_path, capsys):
     assert (resolved["gamma"], resolved["seed"]) == (8.0, 0)
 
 
+def _config_inputs(tmp_path):
+    """Small input files for every subcommand: a bundle, a uniform path and
+    two interlaced N=2 configurations."""
+    files = {k: str(tmp_path / f"{k}.csv")
+             for k in ("bundle", "path", "init", "term")}
+    grid = TimeGrid(0.0, 1.0, 10)
+    with open(files["bundle"], "w") as f:
+        bundle_to_csv(f, PathBundle.linear(
+            2, grid, TriangularConfiguration.zeros(2),
+            TriangularConfiguration(2, np.array([0.5, 0.9, 0.1]))))
+    with open(files["path"], "w") as f:
+        f.write("t,value\n" + "".join(
+            f"{t!r},{float(np.sin(3 * t))!r}\n" for t in grid.times.tolist()))
+    with open(files["init"], "w") as f:
+        f.write("T_1_1,T_2_1,T_2_2\n0.0,0.3,-0.2\n")
+    with open(files["term"], "w") as f:
+        f.write("T_1_1,T_2_1,T_2_2\n0.5,0.9,0.1\n")
+    return files
+
+
+@pytest.mark.parametrize(
+    "command, cfg",
+    [
+        ("simulate", {"n": 2, "gamma": 4.0, "dt": 0.1, "seed": 3,
+                      "drift_cap": 50.0}),
+        ("rate", {"bundle": "bundle", "gamma": 16.0, "eps": 1e-3}),
+        ("reflect", {"driver": "path", "barrier": "path", "start": -0.5,
+                     "side": "below"}),
+        ("slope", {"gammas": [2.0, 4.0, 8.0], "samples": 50, "dt": 0.1,
+                   "delta": 1.0, "target_slope": 0.0}),
+        ("interlace", {"gammas": [4.0, 64.0], "samples": 20, "dt": 0.1,
+                       "margin_scale": 0.05}),
+        ("equivalence", {"gammas": [1.0, 32.0], "samples": 20, "dt": 0.1}),
+        ("optimize", {"init": "init", "terminal": "term", "m": 8,
+                      "iters": 50}),
+    ],
+    ids=["simulate", "rate", "reflect", "slope", "interlace", "equivalence",
+         "optimize"],
+)
+def test_config_file_is_the_same_run_as_its_flags(command, cfg, tmp_path,
+                                                  capsys):
+    # the file's keys are read as the flags they name, required flags
+    # included, so the two runs print the same bytes, # config= line too
+    files = _config_inputs(tmp_path)
+    cfg = {k: files.get(v, v) if isinstance(v, str) else v
+           for k, v in cfg.items()}
+    flags = []
+    for key, value in cfg.items():
+        text = ",".join(map(str, value)) if isinstance(value, list) else value
+        flags += ["--" + key.replace("_", "-"), str(text)]
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    from_file = run([command, "--config", str(path)], capsys)
+    assert from_file == run([command, *flags], capsys)
+    assert from_file[0] == 0 and from_file[1].startswith("# config=")
+
+
+def test_config_values_are_parsed_as_their_flags(tmp_path, capsys):
+    files = _config_inputs(tmp_path)
+    cfg = tmp_path / "cfg.json"
+
+    def with_file(argv, values):
+        cfg.write_text(json.dumps(values))
+        return run(argv + ["--config", str(cfg)], capsys)
+
+    # a value of the wrong type is a usage error naming its flag
+    optimize = ["optimize", "--init", files["init"], "--terminal",
+                files["term"]]
+    for argv, values, flag in [
+        (["simulate"], {"n": 2.0, "dt": 0.1}, "--n"),
+        (["simulate"], {"replicate": True, "dt": 0.1}, "--replicate"),
+        (optimize, {"iters": 2.5}, "--iters"),
+    ]:
+        code, out, err = with_file(argv, values)
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: argument {flag}: invalid int value")
+    # a lone number is a one-gamma list
+    argv = ["equivalence", "--samples", "20", "--dt", "0.1"]
+    assert (with_file(argv, {"gammas": 32})
+            == run(argv + ["--gammas", "32"], capsys))
+    # a file may give a required flag
+    code, out, _ = with_file(["rate"], {"bundle": files["bundle"]})
+    assert code == 0 and "# total=" in out
+    # an int given for a float flag is read as a float; a null is the
+    # flag's default
+    code, out, _ = with_file(["simulate"], {"gamma": 4, "dt": 0.1,
+                                            "drift_cap": None})
+    assert code == 0
+    resolved = json.loads(out.splitlines()[0].removeprefix("# config="))
+    assert '"gamma": 4.0' in out.splitlines()[0]
+    assert resolved["drift_cap"] is None
+    # the file's path is a flag's value like any other
+    code, out, err = run(["simulate", "--config"], capsys)
+    assert (code, out) == (1, "")
+    assert "--config" in err
+
+
+@pytest.mark.parametrize("command", ["rate", "reflect"])
+def test_non_uniform_grid_names_its_file(command, tmp_path, capsys):
+    # both CSV readers share one grid rule, and reflect's error says which
+    # of its two path files is bad
+    good = tmp_path / "good.csv"
+    good.write_text("t,value\n0.0,0.0\n0.5,0.0\n1.0,0.0\n")
+    bad = tmp_path / "bad.csv"
+    header = "t,T_1_1" if command == "rate" else "t,value"
+    bad.write_text(f"{header}\n0.0,0.0\n0.25,0.0\n1.0,0.0\n")
+    argv = (["rate", "--bundle", str(bad)] if command == "rate" else
+            ["reflect", "--driver", str(good), "--barrier", str(bad)])
+    code, out, err = run(argv, capsys)
+    assert (code, out) == (1, "")
+    assert err == f"error: {bad}: grid is not uniform\n"
+
+
 def test_usage_error_exit_code(capsys):
     code, _, _ = run(["simulate", "--gamma", "notanumber"], capsys)
     assert code == 1

@@ -57,6 +57,17 @@ def test_wilson_interval_basics():
         wilson_interval(0, 0)
 
 
+@pytest.mark.parametrize(
+    "hits, n, name",
+    [(5, 3, "hits"), (-1, 10, "hits"), (2.5, 10, "hits"), (2, 10.0, "n")],
+)
+def test_wilson_interval_rejects_bad_counts(hits, n, name):
+    # counts are integers with 0 <= hits <= n, not read through a float
+    with pytest.raises(ValueError, match=f"^{name} must be"):
+        wilson_interval(hits, n)
+    assert wilson_interval(np.int64(3), np.int64(10)) == wilson_interval(3, 10)
+
+
 def test_smallball_reproducible_bitwise():
     grid = TimeGrid(0.0, 1.0, 200)
     phi = _flat_target(1, grid)

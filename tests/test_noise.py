@@ -116,8 +116,8 @@ def test_stream_layout_pinned():
 ])
 def test_ranges_cut_inside_blocks_keep_their_rows(reps, aligned, steps, P):
     # a range whose ends fall inside a block gives the rows of the
-    # block-aligned draw, also where a block's window (3000 steps of
-    # 4 x 30 normals) is drawn a piece of steps at a time
+    # block-aligned draw, also where one block's window (3000 steps of
+    # 4 x 30 normals) is larger than the scratch's usual size
     grid = TimeGrid(0.0, 1.0, steps)
     whole = ensemble_increments(1, aligned, grid, P)
     cut = ensemble_increments(1, reps, grid, P)

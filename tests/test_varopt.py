@@ -33,6 +33,15 @@ def test_rejects_non_interlaced_endpoints():
         _problem(2, [0.0, 1.0, -1.0], [0.0, -1.0, 0.0])
 
 
+@pytest.mark.parametrize("max_iters", [-3, 2.5, "10"])
+def test_rejects_bad_max_iters(max_iters):
+    with pytest.raises(ValueError, match="max_iters must be"):
+        _problem(1, [0.0], [1.0], max_iters=max_iters)
+    # no step at all is a valid budget, and returns the baseline
+    result = minimize_rate(_problem(1, [0.0], [1.0], max_iters=0))
+    assert result.iterations == 0
+
+
 def test_n1_recovers_straight_line():
     result = minimize_rate(_problem(1, [0.0], [1.0]))
     assert result.rate == pytest.approx(0.5, rel=1e-9)
