@@ -79,7 +79,8 @@ def _gamma_list(text: str) -> list[float]:
 def _config_flags(path: str, sub: _Parser) -> list[str]:
     """The JSON object in file path as the text of subcommand parser sub's
     flags: each key as `--<flag>=<value>`, a list's items joined by
-    commas, a null left out so that its flag keeps its default."""
+    commas, a null left out so that its flag keeps its default; a value
+    or list item that is not a string or a number is a usage error."""
     try:
         with open(path) as f:
             cfg = json.load(f)
@@ -97,11 +98,16 @@ def _config_flags(path: str, sub: _Parser) -> list[str]:
     unknown = sorted(set(cfg) - set(flags))
     if unknown:
         raise UsageError(f"unknown config keys: {', '.join(unknown)}")
-    return [
-        f"{flags[k]}={','.join(map(str, v)) if isinstance(v, list) else v}"
-        for k, v in cfg.items()
-        if v is not None
-    ]
+    text = []
+    for k, v in cfg.items():
+        if v is None:
+            continue
+        items = v if isinstance(v, list) else [v]
+        if any(type(x) not in (str, int, float) for x in items):  # no bool
+            raise UsageError(f"{path}: config key {k} must be a string, a "
+                             "number, a list of them or null")
+        text.append(f"{flags[k]}={','.join(map(str, items))}")
+    return text
 
 
 def _resolved(args: argparse.Namespace) -> str:

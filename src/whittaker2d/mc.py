@@ -5,11 +5,12 @@ streams: replicate r always consumes the same increments no matter how the
 work is batched, tiled or threaded, so results are bit-identical across
 worker counts and tile counts, and hit counts reduce by integer sums.  One
 tiling rule (_tiled) cuts each batch that is wide enough into contiguous
-tiles of replicates, at multiples of the noise's blocks of four, scored by
-the calling thread and one module-level thread pool on the usable cores: a
-free-particle tile draws its noise and walks every gamma's path time-major
-in one running sum, and every other tile draws its own noise stream and
-runs its own ensemble_scan, while a narrow batch runs as one inline scan.
+tiles of replicates, at multiples of the noise's blocks of four, scored on
+the usable cores by the calling thread and threads of the call's own,
+joined before it returns: a free-particle tile draws its noise and walks
+every gamma's path time-major in one running sum, and every other tile
+draws its own noise stream and runs its own ensemble_scan, while a narrow
+batch runs as one inline scan.
 Each scan's states are reduced to per-replicate extremes as they are
 stepped: by an observer of |T - phi| for the small-ball estimators, and for
 interlace_event_frequency and equivalence_experiment from the least gap of
@@ -25,8 +26,6 @@ reports no clamps.
 
 from __future__ import annotations
 
-import os
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -172,29 +171,6 @@ def _checked_gammas(gammas, n_samples: int, batch_size: int):
 # is idle.
 _TILE_BYTES = 5 << 20
 _MIN_TILE_WIDTH = 6000
-_pool = None  # the tile pool, created on first use and dropped by a fork
-_pool_lock = threading.Lock()
-
-
-def _tile_pool():
-    # the calling thread scores a share of the tiles itself
-    global _pool
-    with _pool_lock:
-        if _pool is None:
-            from concurrent.futures import ThreadPoolExecutor
-            _pool = ThreadPoolExecutor(max_workers=max(1, _cores() - 1))
-        return _pool
-
-
-def _forget_pool():
-    # a forked child inherits the pool object but none of its threads, so
-    # work submitted to it would never run
-    global _pool, _pool_lock
-    _pool, _pool_lock = None, threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_pool)
 
 
 def _tiled(score, reps, nbytes, width):
@@ -219,7 +195,7 @@ def _tiled(score, reps, nbytes, width):
     n = len(tiles)
     if n <= 1:
         return score(reps)
-    from concurrent.futures import wait
+    from concurrent.futures import ThreadPoolExecutor
     workers = min(n, cores)
 
     def run(w):
@@ -232,13 +208,10 @@ def _tiled(score, reps, nbytes, width):
 
     parts = [None] * n
     try:
-        # tile tasks submit nothing to the pool, so a caller's own worker
-        # threads may wait on it without deadlock
-        futures = [_tile_pool().submit(run, w) for w in range(1, workers)]
-        try:
+        # the caller scores share 0; leaving the block joins the others
+        with ThreadPoolExecutor(max_workers=max(1, workers - 1)) as pool:
+            futures = [pool.submit(run, w) for w in range(1, workers)]
             parts[::workers] = run(0)
-        finally:
-            wait(futures)
         for w, f in enumerate(futures, 1):
             parts[w::workers] = f.result()
     except NonFiniteError:

@@ -404,7 +404,6 @@ def test_config_values_are_parsed_as_their_flags(tmp_path, capsys):
                 files["term"]]
     for argv, values, flag in [
         (["simulate"], {"n": 2.0, "dt": 0.1}, "--n"),
-        (["simulate"], {"replicate": True, "dt": 0.1}, "--replicate"),
         (optimize, {"iters": 2.5}, "--iters"),
     ]:
         code, out, err = with_file(argv, values)
@@ -429,6 +428,33 @@ def test_config_values_are_parsed_as_their_flags(tmp_path, capsys):
     code, out, err = run(["simulate", "--config"], capsys)
     assert (code, out) == (1, "")
     assert "--config" in err
+
+
+def test_config_value_that_is_no_flag_text(tmp_path, monkeypatch, capsys):
+    # as text, {"out": true} would write a file named True and
+    # {"out": {"a": 1}} one named {'a': 1}; a bool, an object, a null item
+    # and a nested list are rejected under every key of every subcommand
+    monkeypatch.chdir(tmp_path)
+    cfg = tmp_path / "cfg.json"
+
+    def rejected(name, key, values):
+        cfg.write_text(json.dumps(values))
+        code, out, err = run([name, "--config", str(cfg)], capsys)
+        assert (code, out) == (1, ""), (name, key)
+        assert err == (f"error: {cfg}: config key {key} must be a string, "
+                       "a number, a list of them or null\n")
+
+    rejected("simulate", "out", {"out": True, "dt": 0.1})
+    rejected("simulate", "out", {"out": {"a": 1}, "dt": 0.1})
+    _, registry = _build_parser()
+    for name, sub in registry.items():
+        for action in sub._actions:
+            if action.dest in {"help", "config"}:
+                continue
+            for value in (True, False, {"a": 1}, [16, True], [16, {"a": 1}],
+                          [16, None], [[16]]):
+                rejected(name, action.dest, {action.dest: value})
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
 
 
 @pytest.mark.parametrize("command", ["rate", "reflect"])

@@ -230,12 +230,23 @@ def test_ldp_slope_worker_count_invariance():
 
 @pytest.fixture
 def cores(monkeypatch):
-    """Sets the core count mc tiles for; a tile pool made under it is shut
-    down afterwards."""
-    monkeypatch.setattr(mc, "_pool", None)
-    yield lambda n: monkeypatch.setattr(mc, "_cores", lambda: n)
-    if mc._pool is not None:
-        mc._pool.shutdown()
+    """Sets the core count mc tiles for."""
+    return lambda n: monkeypatch.setattr(mc, "_cores", lambda: n)
+
+
+@pytest.fixture
+def scorers(monkeypatch):
+    """The set of threads that call mc's ensemble_scan or _free_maxdev
+    from then on: the caller alone for a batch run inline, and for a batch
+    cut in tiles the caller and the tile threads that its call starts."""
+    threads = set()
+    for name in ("ensemble_scan", "_free_maxdev"):
+        def spy(*args, _score=getattr(mc, name), **kwargs):
+            threads.add(threading.current_thread())
+            return _score(*args, **kwargs)
+
+        monkeypatch.setattr(mc, name, spy)
+    return threads
 
 
 _FREE_GRID = TimeGrid(0.0, 1.0, 500)
@@ -308,10 +319,10 @@ def test_free_maxdev_matches_cumsum_paths(steps, x0, gammas, reps):
     assert got.tobytes() == want.tobytes()
 
 
-def test_free_particle_batch_under_a_tile_runs_inline(cores):
+def test_free_particle_batch_under_a_tile_runs_inline(cores, scorers):
     cores(2)
     ldp_slope(_cfg(1, 8.0), _FREE_PHI, 0.25, _FREE_GAMMAS, 500, seed=2)
-    assert mc._pool is None
+    assert scorers == {threading.current_thread()}
 
 
 def _finishes(fn, timeout):
@@ -324,30 +335,30 @@ def _finishes(fn, timeout):
     return out[0]
 
 
-def test_free_particle_tiles_under_caller_workers(cores):
-    # two caller threads each wait on tiles of the one tile pool
+def test_free_particle_tiles_under_caller_workers(cores, scorers):
+    # each caller thread starts and waits on tile threads of its own
     cores(2)
-    fits = [
-        _finishes(lambda: ldp_slope(
+    fits = []
+    for workers in (1, 2):
+        fits.append(_finishes(lambda: ldp_slope(
             _cfg(1, 8.0), _FREE_PHI, 0.25, _FREE_GAMMAS, 6000, seed=4,
-            batch_size=3000, n_workers=workers), 120)
-        for workers in (1, 2)
-    ]
-    assert mc._pool is not None
+            batch_size=3000, n_workers=workers), 120))
+        if workers == 1:
+            # one caller thread and, for each of two batches, a tile thread
+            assert len(scorers) == 3
     assert fits[0].results == fits[1].results
     assert fits[0].slope == fits[1].slope
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
-def test_free_particle_tiles_in_a_forked_child(cores):
+def test_free_particle_tiles_in_a_forked_child(cores, scorers):
     cores(2)
     args = (_cfg(1, 8.0), _FREE_PHI, 0.25, _FREE_GAMMAS, 3000)
     fit = ldp_slope(*args, seed=6)
-    assert mc._pool is not None
-    with warnings.catch_warnings():
-        # forking a process that runs threads warns on some Pythons
-        warnings.simplefilter("ignore", DeprecationWarning)
-        pid = os.fork()
+    assert len(scorers) == 2
+    # no tile thread outlives the call, so the fork copies one thread
+    assert threading.active_count() == 1
+    pid = os.fork()
     if pid == 0:
         code = 1
         try:
@@ -497,38 +508,38 @@ def test_tile_scans_draw_in_place(cores, small_tiles, monkeypatch):
     assert not getattr(sde._tile_thread, "on", False)
 
 
-def test_interlace_long_shape_runs_inline(cores):
+def test_interlace_long_shape_runs_inline(cores, scorers):
     # 100 replicates x 2 gammas x 4 rows: 800 values per call
     cores(2)
     interlace_event_frequency([16.0, 64.0], 100, seed=3, dt=1e-4,
                               batch_size=100)
-    assert mc._pool is None
+    assert scorers == {threading.current_thread()}
 
 
-def test_stepped_tiles_under_caller_workers(cores):
-    # two caller threads each wait on stepped tiles of the one tile pool
+def test_stepped_tiles_under_caller_workers(cores, scorers):
+    # each caller thread starts and waits on stepped tile threads of its own
     cores(2)
     cfg, phi = _STEPPED["N=2"]
-    est = [
-        _finishes(lambda: smallball_probability(
+    est = []
+    for workers in (1, 2):
+        est.append(_finishes(lambda: smallball_probability(
             cfg, phi, 0.3, 8000, seed=4, batch_size=4000,
-            n_workers=workers), 120)
-        for workers in (1, 2)
-    ]
-    assert mc._pool is not None
+            n_workers=workers), 120))
+        if workers == 1:
+            # one caller thread and, for each of two batches, a tile thread
+            assert len(scorers) == 3
     assert est[0] == est[1]
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
-def test_stepped_tiles_in_a_forked_child(cores):
+def test_stepped_tiles_in_a_forked_child(cores, scorers):
     cores(2)
     cfg, phi = _STEPPED["N=2"]
     est = smallball_probability(cfg, phi, 0.3, 4000, seed=6)
-    assert mc._pool is not None
-    with warnings.catch_warnings():
-        # forking a process that runs threads warns on some Pythons
-        warnings.simplefilter("ignore", DeprecationWarning)
-        pid = os.fork()
+    assert len(scorers) == 2
+    # no tile thread outlives the call, so the fork copies one thread
+    assert threading.active_count() == 1
+    pid = os.fork()
     if pid == 0:
         code = 1
         try:
@@ -545,6 +556,26 @@ def test_stepped_tiles_in_a_forked_child(cores):
             pytest.fail("forked child did not finish")
         time.sleep(0.05)
     assert os.waitstatus_to_exitcode(done[1]) == 0
+
+
+def test_no_thread_outlives_a_call(cores, monkeypatch):
+    # free-particle and stepped tiles, an inline scan that draws ahead
+    # (interlace-long's shape) and the coupling, on two cores: every thread
+    # a call starts is joined before it returns
+    cores(2)
+    monkeypatch.setattr(sde, "_cores", lambda: 2)
+    cfg, phi = _STEPPED["N=2"]
+    for call in (
+        lambda: ldp_slope(_cfg(1, 8.0), _FREE_PHI, 0.25, _FREE_GAMMAS, 3000,
+                          seed=6),
+        lambda: smallball_probability(cfg, phi, 0.3, 4000, seed=6),
+        lambda: interlace_event_frequency([16.0, 64.0], 100, seed=3,
+                                          dt=1e-4, batch_size=100),
+        lambda: equivalence_experiment(16.0, 0.1, _STEP_GRID, 300, seed=1),
+    ):
+        before = threading.enumerate()
+        call()
+        assert threading.enumerate() == before
 
 
 class _Poisoned(IncrementStream):

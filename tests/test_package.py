@@ -67,8 +67,8 @@ def test_cli_runs_without_scipy(tmp_path):
 
 
 def test_import_loads_no_concurrent_futures():
-    # imported only where a tile pool, a draw thread or an n_workers pool
-    # is made
+    # imported only where a call starts tile threads, a draw thread or an
+    # n_workers pool
     code = ("import sys, whittaker2d, whittaker2d.cli; "
             "print([m for m in sys.modules "
             "if m.split('.')[0] == 'concurrent'])")

@@ -603,10 +603,9 @@ def test_streamed_scan_in_a_forked_child(idle_core):
         return got.tobytes() + clamps.tobytes()
 
     once = run()
-    with warnings.catch_warnings():
-        # forking a process that runs threads warns on some Pythons
-        warnings.simplefilter("ignore", DeprecationWarning)
-        pid = os.fork()
+    # the draw thread ends with the scan, so the fork copies one thread
+    assert threading.active_count() == 1
+    pid = os.fork()
     if pid == 0:
         code = 1
         try:
