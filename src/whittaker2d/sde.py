@@ -9,11 +9,11 @@ Interactions are one-directional (level n reads only level n-1), so the
 system is triangular and explicit stepping matches the model structure.
 One stepper, ensemble_scan, runs every such system from its Topology: the
 triangle, the four-particle sub-system, or one particle between fixed
-barrier paths.  It draws streamed noise a window at a time.  Where a core
-is idle, a path longer than one window is drawn into a ring of two half
-windows, the next filled by a draw thread of the call's own while the
-current one is stepped, so the draw runs on that core and the two halves
-hold what one window would.
+barrier paths.  It draws streamed noise a window at a time, in draw order.
+Where a core is idle, a path longer than one window is drawn into a ring of
+two half windows, the next filled by a draw thread of the call's own while
+the current one is stepped, so the draw runs on that core and the two
+halves hold what one window would.
 
 The exponential drift is stiff; the Euler stepper tames it by clamping the
 net drift to +-D with D = exp(0.25 * gamma) by default, and reports every
@@ -38,7 +38,7 @@ from .model import (
     Topology,
     tri_size,
 )
-from .noise import IncrementStream
+from .noise import _Q, IncrementStream
 
 __all__ = [
     "SimulationResult",
@@ -55,17 +55,17 @@ __all__ = [
 _EXP_MAX = 700.0  # exp argument ceiling, just under float64 overflow
 _CHUNK_BYTES = 1 << 19  # size of each per-chunk buffer of ensemble_scan
 _MAX_CHUNK = 256  # steps per chunk at most, so its step views stay few
-# ensemble_scan holds an IncrementStream's draws in _WINDOW steps (in whole
-# chunks), fewer if that would take more than _WINDOW_BYTES, but never
-# fewer than _MIN_WINDOW: every window costs each block of four replicates
-# one more draw call, and a stream split at all opens a generator of its own
-# per block, which a path of a few hundred steps would not repay however wide
-# its batch.  A path that fits is drawn whole.  A longer one is drawn in
-# place, window by window, unless a core is idle: then in two buffers of
-# half the chunks each, one stepped while the draw thread fills the other,
-# so the pair holds no more than one window: a second full window cost the
-# four-particle batch of 100 replicates at M = 10,000 14% of its peak RSS
-_WINDOW, _MIN_WINDOW, _WINDOW_BYTES = 2048, 1024, 1 << 26
+# ensemble_scan holds an IncrementStream's draws in windows sized by bytes:
+# the whole chunks that fit _WINDOW_BYTES, or _MIN_WINDOW steps if that is
+# more, since every window costs each block of four replicates one more draw
+# call, and a stream split at all opens a generator of its own per block.
+# A path of at most _WHOLE steps, or one that fits a window, is drawn whole.
+# A longer one is drawn in place, window by window, unless a core is idle:
+# then in two buffers of half the chunks each, one stepped while the draw
+# thread fills the other.  Two windows of 1,053 steps held 6.7 MB of the
+# 47.7 MB peak RSS of the four-particle batch of 100 replicates at
+# M = 10,000; two of 243 steps hold 1.6 MB
+_WHOLE, _MIN_WINDOW, _WINDOW_BYTES = 1024, 256, 3 << 19
 # .on is set in a thread that steps one of several tiles spread over every
 # core (mc._tiled): no core is idle to draw on, so its scans draw each
 # window in place, in one buffer of the whole window
@@ -131,16 +131,16 @@ def ensemble_scan(
     one gamma or at several.
 
     noise holds the raw Normal(0, dt) draws for the P moving rows, shape
-    (R, P, M): an array, or an IncrementStream, whose draws are held in
-    step-major windows of at most W = 2048 steps, or as few as 1024 to
-    keep them under 64 MB, so that a longer path's whole array is never
-    held; both step the same values.  A path of at most W steps is drawn
-    whole.  Where a core is idle (more than one core, and the calling
-    thread is not stepping one of mc's tiles), a longer one is drawn in
-    windows of W/2 steps, each by a thread of the call's own while the
-    one before it is stepped, so the two buffers hold W steps together;
-    elsewhere it is drawn in place in windows of W.  No draw outlives the
-    call.  start holds the P start values.  barriers,
+    (R, P, M): an array, or an IncrementStream, whose block-major draws are
+    held a window at a time, so that a longer path's whole array is never
+    held; both step the same values.  A path of at most 1024 steps, or one
+    that fits a window, is drawn whole; a window is the whole chunks that
+    fit 1.5 MB, or 256 steps if that is more.  Where a core is idle (more
+    than one core, and the calling thread is not stepping one of mc's
+    tiles), a longer path is drawn in two half windows, each by a thread of
+    the call's own while the other is stepped; elsewhere it is drawn in
+    place, window by window.  No draw outlives the call.  start holds the P
+    start values.  barriers,
     shape (F, M+1), are the paths of the topology's last F rows, which are
     fixed: they are written into the state at every grid index instead of
     being stepped.  drifts, the constant a of each moving row, has length
@@ -237,16 +237,22 @@ def ensemble_scan(
     streamed = isinstance(noise, IncrementStream)
     if streamed:
         # drawn in windows of whole chunks, so that no chunk straddles two
-        steps = _WINDOW_BYTES // (8 * max(R * P, 1))
-        chunks = -(-min(_WINDOW, max(_MIN_WINDOW, steps)) // K)
-        ring = 1
-        if (M > chunks * K and chunks > 1 and _cores() > 1
-                and not getattr(_tile_thread, "on", False)):
-            ring = 2  # two half windows, one drawn while the other is stepped
-        W = min(M, chunks // ring * K)
-        windows = [np.empty((R, W, P)) for _ in range(ring)]
+        nb, off = noise.blocks, noise.offset
+        fit = _WINDOW_BYTES // (8 * _Q * max(nb * P, 1))
+        chunks = max(_MIN_WINDOW, fit) // K
+        whole = M <= max(_WHOLE, chunks * K)
+        ring = 2 if (not whole and chunks > 1 and _cores() > 1
+                     and not getattr(_tile_thread, "on", False)) else 1
+        W = M if whole else chunks // ring * K
+        windows = [np.empty((nb, W, _Q, P)) for _ in range(ring)]
+        # a block's 4·P values of a step move as one item, into K steps of
+        # step-major rows, of which the range's replicates are [off, off + R)
+        item = np.dtype((np.void, 8 * _Q * P))
+        rows = np.empty((K, nb * _Q, P))
+        row_items = rows.reshape(K, nb, _Q * P).view(item)[..., 0]
+        items = [w.reshape(nb, W, _Q * P).view(item)[..., 0] for w in windows]
     else:
-        W, windows = M, [noise.transpose(0, 2, 1)]
+        W, windows = M, [noise.transpose(2, 0, 1)]  # (M, R, P) steps
     block, dW = np.empty((K + 1, P + F, GR)), np.empty((K, P, GR))
     ghist = np.empty((K, E, GR))  # each edge's gap at each step of the chunk
     # each edge's largest gap over the chunk, its product with gamma, and
@@ -313,17 +319,20 @@ def ensemble_scan(
         for s in range(0, M, K):
             k = min(K, M - s)
             at = s % W  # the chunk's first step within its window
-            window = windows[s // W % len(windows)]
-            if streamed and at == 0:
-                if pending is None:
-                    noise.fill(window[:, : min(W, M - s)])
-                else:
-                    pending.result()
-                if drawer is not None and s + W < M:
-                    ahead = windows[(s // W + 1) % 2][:, : min(W, M - s - W)]
-                    pending = drawer.submit(noise.fill, ahead)
-            np.divide(window[:, at : at + k].transpose(1, 2, 0)[:, :, None],
-                      sqg, out=dW[:k].reshape(k, P, G, R))
+            cur = s // W % len(windows)
+            if streamed:
+                if at == 0:
+                    if pending is None:
+                        noise.fill(windows[cur][:, : min(W, M - s)])
+                    else:
+                        pending.result()
+                    if drawer is not None and s + W < M:
+                        ahead = windows[1 - cur][:, : min(W, M - s - W)]
+                        pending = drawer.submit(noise.fill, ahead)
+                np.copyto(row_items[:k], items[cur][:, at : at + k].T)
+            inc = rows[:k, off : off + R] if streamed else windows[0][s : s + k]
+            np.divide(inc.transpose(0, 2, 1)[:, :, None], sqg,
+                      out=dW[:k].reshape(k, P, G, R))
             if F:
                 block[: k + 1, P:] = barriers[:, s : s + k + 1].T[:, :, None]
             # a state gone non-finite stays so and raises after the chunk,

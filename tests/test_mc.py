@@ -1,5 +1,7 @@
 import os
 import signal
+import subprocess
+import sys
 import threading
 import time
 import tracemalloc
@@ -478,9 +480,9 @@ def test_tiles_draw_each_noise_block_once(cores, small_tiles, monkeypatch,
 
 def test_tile_scans_draw_in_place(cores, small_tiles, monkeypatch):
     # with one tile per core no core is idle: each tile's scan draws its
-    # 2500 steps in place, in a window of at least 2048 and the rest, on
-    # the thread that steps it; an inline scan draws ahead on a thread of
-    # its own
+    # 2500 steps in place, on the thread that steps it, in windows of 486
+    # steps (the six chunks of 81 that fit 1.5 MB of its 25 blocks) and the
+    # rest; an inline scan draws ahead on a thread of its own
     drawn, fill = [], IncrementStream.fill
 
     def recorded(stream, out):
@@ -503,8 +505,7 @@ def test_tile_scans_draw_in_place(cores, small_tiles, monkeypatch):
     assert all(on for _, _, on in drawn)
     for thread in {t for t, _, _ in drawn}:
         windows = [k for t, k, _ in drawn if t == thread]
-        assert len(windows) == 2 and windows[0] >= 2048
-        assert sum(windows) == 2500
+        assert windows == [486] * 5 + [70]
     assert not getattr(sde._tile_thread, "on", False)
 
 
@@ -593,7 +594,9 @@ class _Poisoned(IncrementStream):
         k = out.shape[1]
         for rep, step, particle in self.POISON:
             if rep in self.reps and self.at <= step < self.at + k:
-                out[self.reps.index(rep), step - self.at, particle] = np.inf
+                # row i of the range is slot offset + i of the window
+                block, slot = divmod(self.offset + self.reps.index(rep), 4)
+                out[block, step - self.at, slot, particle] = np.inf
         self.at += k
         return out
 
@@ -753,6 +756,51 @@ def test_interlace_batch_holds_a_window_of_noise():
     finally:
         tracemalloc.stop()
     assert peak < 50 * 4 * 10_000 * 8 / 2
+
+
+def test_tile_scan_holds_one_window_of_noise():
+    # a criterion-7 tile: 1000 replicates (250 blocks, 32 KB a step), 2
+    # gammas, drawn in place as in a tile thread.  Its window is the
+    # 256-step floor, 8.2 MB, where 1.5 MB holds 49 steps; the rest of the
+    # peak is the scan's chunk buffers, about 512 KB each
+    grid = TimeGrid(0.0, 1.0, 2000)
+    stream = IncrementStream(5, range(1000), grid, 4)
+    window = 256 * 250 * 4 * 4 * 8
+    sde._tile_thread.on = True
+    tracemalloc.start()
+    try:
+        ensemble_scan(mc._FOUR_PARTICLE, np.zeros(4), stream, [16.0, 64.0],
+                      grid.dt, None)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        sde._tile_thread.on = False
+    assert peak <= window + 8 * sde._CHUNK_BYTES
+
+
+@pytest.mark.slow
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="reads the peak RSS from /proc/self/status")
+def test_criterion_7_batch_memory():
+    # one criterion-7 batch (2000 replicates, two tiles on two cores) in a
+    # fresh process: each tile holds a 256-step window of its noise, 8 MB,
+    # where two 2048-step windows once took the process to 166 MB.  The
+    # child reads its peak RSS as VmHWM, the peak of its own address space:
+    # ru_maxrss keeps, across exec, the peak of the forked test process
+    code = (
+        "from whittaker2d import interlace_event_frequency\n"
+        "interlace_event_frequency([16, 64], 2000, seed=909, dt=1e-4, "
+        "batch_size=2000)\n"
+        "status = open('/proc/self/status').read()\n"
+        "print(status.split('VmHWM:')[1].split()[0])\n"
+    )
+    src = os.path.dirname(os.path.dirname(mc.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, timeout=300,
+                         env={**os.environ, "PYTHONPATH": path})
+    assert run.returncode == 0, run.stderr
+    assert int(run.stdout.split()[-1]) <= 100 * 1024
 
 
 _FLAT1 = _flat_target(1, TimeGrid(0.0, 1.0, 10))

@@ -125,6 +125,17 @@ def test_ranges_cut_inside_blocks_keep_their_rows(reps, aligned, steps, P):
     assert cut.tobytes() == whole[lo : lo + len(reps)].tobytes()
 
 
+def test_stream_count_must_be_a_nonnegative_integer():
+    # both fail before any draw, as a bad seed or replicate does, rather
+    # than inside numpy ("negative dimensions", a bare TypeError)
+    grid = TimeGrid(0.0, 1.0, 10)
+    for n_streams in [-1, 2.5]:
+        with pytest.raises(ValueError, match="n_streams"):
+            ensemble_increments(0, range(2), grid, n_streams)
+        with pytest.raises(ValueError, match="n_streams"):
+            IncrementStream(0, range(2), grid, n_streams)
+
+
 def test_replicates_must_be_a_step_one_range():
     # a step other than 1 would split a block's rows; an empty range draws
     # nothing
@@ -135,20 +146,35 @@ def test_replicates_must_be_a_step_one_range():
     assert ensemble_increments(0, range(5, 5), grid, 2).shape == (0, 2, 10)
 
 
+def _rows(stream, parts):
+    """Block-major windows of stream, joined along their steps, as the
+    (R, P, M) rows of its replicates."""
+    R, P, _ = stream.shape
+    drawn = np.concatenate(parts, axis=1)
+    slots = drawn.transpose(0, 2, 1, 3).reshape(-1, drawn.shape[1], P)
+    return slots[stream.offset : stream.offset + R].transpose(0, 2, 1)
+
+
 @pytest.mark.parametrize("seed, rep", [(5, 0), (2**64 - 1, 2**64 - 3)])
 def test_stream_windows_concatenate_to_one_draw(seed, rep):
     # uneven windows, each stream carried across three window ends, give
-    # one draw's values byte for byte; nothing is left to draw after them
+    # one draw's values byte for byte; nothing is left to draw after them.
+    # A window is block-major, (blocks, k, 4, P): replicates 2**64 - 3 ..
+    # 2**64 - 1 are slots 1 to 3 of one block
     grid = TimeGrid(0.0, 1.0, 1000)
     reps = range(rep, rep + 3)
     stream = IncrementStream(seed, reps, grid, 2)
     assert stream.shape == (3, 2, 1000)
-    parts = [stream.fill(np.empty((3, k, 2))) for k in (1, 299, 600, 100)]
+    assert (stream.blocks, stream.offset) == (1, rep % 4)
+    with pytest.raises(ValueError, match="window"):
+        stream.fill(np.empty((3, 1, 2)))  # replicate-major: not a window
+    with pytest.raises(ValueError, match="window"):
+        stream.fill(np.empty((1, 2, 4, 2), order="F"))
+    parts = [stream.fill(np.empty((1, k, 4, 2))) for k in (1, 299, 600, 100)]
     whole = ensemble_increments(seed, reps, grid, 2)
-    drawn = np.concatenate(parts, axis=1).transpose(0, 2, 1)
-    assert drawn.tobytes() == whole.tobytes()
+    assert _rows(stream, parts).tobytes() == whole.tobytes()
     with pytest.raises(ValueError):
-        stream.fill(np.empty((3, 1, 2)))
+        stream.fill(np.empty((1, 1, 4, 2)))
 
 
 def test_stream_opens_one_generator_per_block(monkeypatch):
@@ -165,7 +191,7 @@ def test_stream_opens_one_generator_per_block(monkeypatch):
     monkeypatch.setattr(noise, "Philox", counting)
     stream = IncrementStream(11, range(1, 9), TimeGrid(0.0, 1.0, 30), 3)
     for _ in range(3):
-        stream.fill(np.empty((8, 10, 3)))
+        stream.fill(np.empty((3, 10, 4, 3)))
     assert len(opened) == 3 + 3
 
 
@@ -186,11 +212,10 @@ def test_fill_draws_once_per_block(monkeypatch, windows):
     monkeypatch.setattr(noise, "Generator", Counting)
     grid = TimeGrid(0.0, 1.0, 30)
     stream = IncrementStream(11, range(1, 9), grid, 3)
-    parts = [stream.fill(np.empty((8, k, 3))) for k in windows]
+    parts = [stream.fill(np.empty((3, k, 4, 3))) for k in windows]
     assert len(calls) == 3 * len(windows)
     monkeypatch.undo()
-    drawn = np.concatenate(parts, axis=1).transpose(0, 2, 1)
-    assert drawn.tobytes() == ensemble_increments(
+    assert _rows(stream, parts).tobytes() == ensemble_increments(
         11, range(1, 9), grid, 3).tobytes()
 
 

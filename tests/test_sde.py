@@ -423,34 +423,47 @@ def _scan_blocks(topology, inc, gamma, cap, **kw):
 
 @pytest.mark.parametrize("gammas", [[2.0], [2.0, 64.0]], ids=["G1", "G2"])
 @pytest.mark.parametrize(
-    "steps, room, windows",
-    [(500, None, [500]), (2048, None, [2048]),
-     (5000, None, [1024, 1024, 1024, 1024, 904]),
-     (1000, 100, [1000]), (2500, 100, [512, 512, 512, 512, 452])],
-    ids=["short", "one-window", "ragged", "wide-short", "wide-ragged"],
+    "reps, steps, room, where, windows",
+    [(range(64), 500, None, "ring", (500, 500)),
+     (range(64), 1024, None, "ring", (1024, 1024)),
+     (range(64), 5000, None, "ring", (256, 384)),
+     (range(64), 1000, 100, "ring", (1000, 1000)),
+     (range(64), 2500, 100, "ring", (256, 128)),
+     (range(64), 3000, 4000, "ring", (3000, 3000)),
+     (range(3, 70), 2500, None, "ring", (244, 244)),
+     (range(3, 70), 2500, None, "in-place", (488, 610))],
+    ids=["short", "one-window", "ragged", "wide-short", "wide-ragged", "roomy",
+         "cut-ring", "cut-in-place"],
 )
 def test_streamed_scan_matches_materialized(
-    monkeypatch, gammas, steps, room, windows
+    monkeypatch, gammas, reps, steps, room, where, windows
 ):
-    # 64 four-particle replicates step in chunks of 256 (G=1) or 128 (G=2)
-    # steps; a path of up to 2048 steps is drawn whole and a longer one in
-    # windows of 1024, so 5000 steps are a multiple of neither; the cap of
-    # 0.5 clamps.  A byte bound with room for only 100 steps of this batch
-    # stands for a wide batch: a path of 1000 steps is still drawn whole,
-    # and a longer one in windows of 512 steps
-    R, grid = 64, TimeGrid(0.0, 1.0, steps)
-    monkeypatch.setattr(sde, "_cores", lambda: 2)  # a core to draw on
+    # four-particle replicates, their noise in block-major windows of
+    # (blocks, k, 4, P); the cap of 0.5 clamps.  64 replicates (16 blocks,
+    # 2 KB a step) step in chunks of 256 (G=1) or 128 (G=2) steps: a path of
+    # up to 1024 steps is drawn whole, and a longer one in windows of whole
+    # chunks that together hold at most 1.5 MB (768 steps), two half windows
+    # of 256 or 384 steps where a core is idle.  A byte bound with room for
+    # 100 steps stands for a wide batch: windows together hold the 256-step
+    # floor, one window of one chunk at G=1, two of one chunk at G=2; a
+    # bound with room for 4000 steps stands for a narrow one, drawn whole.
+    # Replicates 3..69 start and end inside blocks (18 blocks, chunks of 244
+    # or 122 steps, 682 steps to 1.5 MB): windows of 244 steps in the ring,
+    # 488 or 610 in place; 5000 and 2500 steps are multiples of no window
+    W = windows[len(gammas) - 1]
+    grid = TimeGrid(0.0, 1.0, steps)
+    monkeypatch.setattr(sde, "_cores", lambda: 2 if where == "ring" else 1)
     if room is not None:
-        monkeypatch.setattr(sde, "_WINDOW_BYTES", 8 * R * 4 * room)
-    stream = IncrementStream(30, range(R), grid, 4)
+        monkeypatch.setattr(sde, "_WINDOW_BYTES", 8 * 64 * 4 * room)
+    stream = IncrementStream(30, reps, grid, 4)
     drawn, fill = [], stream.fill
     stream.fill = lambda out: drawn.append(out.shape[1]) or fill(out)
     got, got_clamps, starts = _scan_blocks(FOUR_PARTICLE, stream, gammas, 0.5)
-    inc = ensemble_increments(30, range(R), grid, 4)
+    inc = ensemble_increments(30, reps, grid, 4)
     expect, clamps, expect_starts = _scan_blocks(
         FOUR_PARTICLE, inc, gammas, 0.5
     )
-    assert drawn == windows
+    assert drawn == [W] * (steps // W) + [steps % W] * (steps % W > 0)
     assert starts == expect_starts
     assert got.tobytes() == expect.tobytes()
     assert got_clamps.tobytes() == clamps.tobytes()
@@ -474,7 +487,9 @@ def _recorded(stream, poison=None, slow=None):
                 time.sleep(0.3)
             fill(out)
             if poison is not None and at <= poison[1] < at + out.shape[1]:
-                out[poison[0], poison[1] - at, poison[2]] = np.inf
+                # row i of the range is slot offset + i of the window
+                block, slot = divmod(stream.offset + poison[0], 4)
+                out[block, poison[1] - at, slot, poison[2]] = np.inf
             return out
         finally:
             entry["done"] = True
@@ -490,9 +505,9 @@ def idle_core(monkeypatch):
 
 
 def test_raise_while_a_draw_is_pending(idle_core):
-    # windows of 1024 steps: the +inf is in window 2, and the draw of
+    # windows of 256 steps: the +inf is in window 2, and the draw of
     # window 3 is still running when the scan raises
-    R, grid, (rep, step, particle) = 64, TimeGrid(0.0, 1.0, 5000), (5, 1500, 2)
+    R, grid, (rep, step, particle) = 64, TimeGrid(0.0, 1.0, 5000), (5, 300, 2)
     stream = IncrementStream(30, range(R), grid, 4)
     log = _recorded(stream, poison=(rep, step, particle), slow=3)
     inc = ensemble_increments(30, range(R), grid, 4)
@@ -503,7 +518,7 @@ def test_raise_while_a_draw_is_pending(idle_core):
         ensemble_scan(FOUR_PARTICLE, np.zeros(4), stream, 2.0, 0.01, 0.5)
     assert (got.value.step, got.value.particle) == (
         want.value.step, want.value.particle)
-    assert [e["shape"][1] for e in log] == [1024, 1024, 1024]
+    assert [e["shape"][1] for e in log] == [256, 256, 256]
     assert all(e["done"] for e in log)
     # the first window is drawn in place, the next ones on the draw thread
     assert log[0]["thread"] == threading.get_ident() != log[2]["thread"]
@@ -512,7 +527,8 @@ def test_raise_while_a_draw_is_pending(idle_core):
 @pytest.mark.parametrize("where", ["one-core", "tile-thread"])
 def test_no_idle_core_draws_in_place(monkeypatch, where):
     # on one core, or in a thread stepping one of mc's tiles, the scan
-    # draws whole windows of 2048 steps in place, one at a time
+    # draws whole windows in place, one at a time: three chunks of 256
+    # steps, the most that fit 1.5 MB
     R, grid = 64, TimeGrid(0.0, 1.0, 5000)
     stream = IncrementStream(30, range(R), grid, 4)
     log = _recorded(stream)
@@ -524,7 +540,7 @@ def test_no_idle_core_draws_in_place(monkeypatch, where):
         sde._tile_thread.on = False
     expect, clamps, _ = _scan_blocks(
         FOUR_PARTICLE, ensemble_increments(30, range(R), grid, 4), 2.0, 0.5)
-    assert [e["shape"][1] for e in log] == [2048, 2048, 904]
+    assert [e["shape"][1] for e in log] == [768] * 6 + [392]
     assert {e["thread"] for e in log} == {threading.get_ident()}
     assert got.tobytes() == expect.tobytes()
     assert got_clamps.tobytes() == clamps.tobytes()
@@ -533,15 +549,17 @@ def test_no_idle_core_draws_in_place(monkeypatch, where):
 @pytest.mark.parametrize(
     "R, steps, gammas, room",
     [(100, 10_000, [16.0, 64.0], None), (64, 5000, [2.0], None),
-     (64, 2048, [2.0], None), (64, 2500, [2.0, 64.0], 100),
-     (64, 1000, [2.0, 64.0], 100)],
-    ids=["interlace-long", "ragged", "whole", "wide-ragged", "wide-whole"],
+     (64, 1024, [2.0], None), (64, 2500, [2.0, 64.0], 100),
+     (64, 1000, [2.0, 64.0], 100), (67, 3000, [2.0], None)],
+    ids=["interlace-long", "ragged", "whole", "wide-ragged", "wide-whole",
+         "cut"],
 )
 def test_two_windows_hold_no_more_than_one(idle_core, monkeypatch, R, steps,
                                            gammas, room):
-    # the two buffers together hold at most the one window of W steps
-    # drawn before the ring: 2048 steps, or as many as fit 64 MB but at
-    # least 1024, in whole chunks; a path that fits is drawn whole
+    # the two buffers together hold at most one window: the whole chunks
+    # that fit 1.5 MB of block-major (blocks, k, 4, P) noise, or 256 steps
+    # if that is more; a path of at most 1024 steps, or one that fits that
+    # window, is drawn whole
     P, grid = 4, TimeGrid(0.0, 1.0, steps)
     if room is not None:
         monkeypatch.setattr(sde, "_WINDOW_BYTES", 8 * R * P * room)
@@ -551,12 +569,13 @@ def test_two_windows_hold_no_more_than_one(idle_core, monkeypatch, R, steps,
     ensemble_scan(FOUR_PARTICLE, np.zeros(P), stream, gammas, 1e-4, None,
                   observe=lambda i0, block: starts.append(i0))
     chunk = starts[2] - starts[1]
-    window = min(2048, max(1024, sde._WINDOW_BYTES // (8 * R * P)))
-    budget = -(-window // chunk) * chunk
+    blocks = -(-R // 4)
+    window = max(256, sde._WINDOW_BYTES // (8 * blocks * 4 * P))
+    budget = window // chunk * chunk
     drawn = [e["shape"][1] for e in log]
-    assert all(e["shape"] == (R, k, P) for e, k in zip(log, drawn))
+    assert all(e["shape"] == (blocks, k, 4, P) for e, k in zip(log, drawn))
     assert sum(drawn) == steps
-    if steps <= budget:
+    if steps <= max(1024, budget):
         assert drawn == [steps]
     else:
         assert max(a + b for a, b in zip(drawn, drawn[1:])) <= budget
