@@ -7,10 +7,10 @@ worker counts and tile counts, and hit counts reduce by integer sums.  One
 tiling rule (_tiled) cuts each batch that is wide enough into contiguous
 tiles of replicates, at multiples of the noise's blocks of four, scored on
 the usable cores by the calling thread and threads of the call's own,
-joined before it returns: a free-particle tile draws its noise and walks
-every gamma's path time-major in one running sum, and every other tile
-draws its own noise stream and runs its own ensemble_scan, while a narrow
-batch runs as one inline scan.
+joined before it returns: a tile of the free particle (every N = 1
+config) draws its noise and walks every gamma's path time-major in one
+running sum, and every other tile draws its own noise stream and runs its
+own ensemble_scan, while a narrow batch runs as one inline scan.
 Each scan's states are reduced to per-replicate extremes as they are
 stepped: by an observer of |T - phi| for the small-ball estimators, and for
 interlace_event_frequency and equivalence_experiment from the least gap of
@@ -147,15 +147,15 @@ def _checked_gammas(gammas, n_samples: int, batch_size: int):
 # _TILE_BYTES, their count rounded up to a multiple of the usable cores, but
 # into no more than leave each tile _MIN_TILE_WIDTH values per call (rounded
 # down to a multiple of the cores); a batch that makes one tile runs inline.
-# A free-particle tile holds only its (R, M) noise, as it walks its paths
-# time-major through chunk buffers of about 512 KB, so its noise counts half
-# its bytes: a tile keeps the 10 MB that its noise and a whole (R, M+1) path
-# buffer took together.  On 2 cores the slope-free batch (2500 replicates,
-# M = 1000, 4 gammas) makes two tiles of 1250, and an ldp_slope call took
-# 67-72 ms (medians of 60 calls), against 77-85 ms in four tiles of 625 and
-# 87-92 ms when each tile summed one whole path per gamma.  Its width counts
-# a path's M+1 values, which its chunks' calls cover, so the width floor
-# never binds a batch that the byte rule cuts.
+# A free-particle tile (N = 1) holds only its (R, M) noise, as it walks its
+# paths time-major through chunk buffers of about 512 KB, so its noise
+# counts half its bytes: a tile keeps the 10 MB that its noise and a whole
+# (R, M+1) path buffer took together.  On 2 cores the slope-free batch
+# (2500 replicates, M = 1000, 4 gammas) makes two tiles of 1250, and an
+# ldp_slope call took 67-72 ms (medians of 60 calls), against 77-85 ms in
+# four tiles of 625 and 87-92 ms when each tile summed one whole path per
+# gamma.  Its width counts a path's M+1 values, which its chunks' calls
+# cover, so the width floor never binds a batch that the byte rule cuts.
 # A stepped tile holds its noise, and a narrow one loses to the interpreter
 # overhead of each step's calls: on 2 cores, in medians of fresh processes,
 # the smallball-tri shape (4000 replicates, N = 2, M = 250) took 0.46-0.50 s
@@ -270,7 +270,7 @@ def _maxdev(
     """Per-replicate sup deviation from the target bundle at each gamma,
     plus clamp counts, both of shape (G, R), for the replicates reps of
     seed."""
-    if config.N == 1 and float(config.drifts[0]) == 0.0:
+    if config.N == 1:
         # a free tile holds only its noise, counted at half its bytes
         (maxdev,) = _tiled(
             lambda tile: (_free_maxdev(config, gammas, grid, phi_vals, seed,
@@ -279,7 +279,6 @@ def _maxdev(
         )
         return maxdev, np.zeros(maxdev.shape, dtype=int)
     P = tri_size(config.N)
-    drifts = np.repeat(config.drifts, np.arange(1, config.N + 1))
 
     def score(tile):
         maxdev = np.zeros(gammas.size * len(tile))
@@ -299,8 +298,7 @@ def _maxdev(
         clamps = ensemble_scan(
             Topology.triangle(config.N), config.initial.entries,
             IncrementStream(seed, tile, grid, P),
-            gammas, grid.dt, config.drift_cap,
-            drifts=drifts, observe=observe,
+            gammas, grid.dt, config.drift_cap, observe=observe,
         )
         return maxdev.reshape(clamps.shape), clamps
 

@@ -300,26 +300,20 @@ class ModelConfig:
     """Static description of one triangular system instance.
 
     gamma is the scaling parameter: noise enters as dW / sqrt(gamma) and the
-    interaction exponents are multiplied by gamma.  drifts holds the constant
-    per-level drift a_n (all zero for the scaling-limit experiments).
-    drift_cap, when set, overrides the default taming cap exp(0.25 * gamma).
+    interaction exponents are multiplied by gamma.  drift_cap, when set,
+    overrides the default taming cap exp(0.25 * gamma).
     """
 
     N: int
     gamma: float
     initial: TriangularConfiguration
-    drifts: np.ndarray | None = None
-    drift_cap: float | None = None
+    drift_cap: float | None = field(default=None, kw_only=True)
 
     def __post_init__(self):
         if not (np.isfinite(self.gamma) and self.gamma > 0):
             raise ValueError("gamma must be positive and finite")
         if self.initial.N != self.N:
             raise ValueError("initial configuration N does not match config N")
-        d = np.zeros(self.N) if self.drifts is None else _frozen(self.drifts)
-        if d.shape != (self.N,):
-            raise ValueError(f"drifts must have one entry per level ({self.N})")
-        object.__setattr__(self, "drifts", d)
         cap = self.drift_cap
         if cap is not None and not cap > 0:  # NaN fails too
             raise ValueError(f"drift_cap must be positive, got {cap}")

@@ -2,7 +2,7 @@
 
 The drift of particle (n, k) is
 
-    a_n + exp(gamma * (T[n-1,k] - T[n,k])) - exp(gamma * (T[n,k] - T[n-1,k-1]))
+    exp(gamma * (T[n-1,k] - T[n,k])) - exp(gamma * (T[n,k] - T[n-1,k-1]))
 
 with either exponential absent when its barrier index leaves the triangle.
 Interactions are one-directional (level n reads only level n-1), so the
@@ -122,7 +122,6 @@ def ensemble_scan(
     gamma,
     dt: float,
     cap,
-    drifts=None,
     barriers=None,
     observe=None,
     least_gap=None,
@@ -140,28 +139,27 @@ def ensemble_scan(
     tiles), a longer path is drawn in two half windows, each by a thread of
     the call's own while the other is stepped; elsewhere it is drawn in
     place, window by window.  No draw outlives the call.  start holds the P
-    start values.  barriers,
-    shape (F, M+1), are the paths of the topology's last F rows, which are
-    fixed: they are written into the state at every grid index instead of
-    being stepped.  drifts, the constant a of each moving row, has length
-    P; all zero, it is not added, as for None.  gamma is a scalar or a 1-d
-    array of G values, cap a scalar or one value per gamma (None:
+    start values.  barriers, shape (F, M+1), are the paths of the
+    topology's last F rows, which are fixed: they are written into the
+    state at every grid index instead of being stepped.  gamma is a scalar
+    or a 1-d array of G values, cap a scalar or one value per gamma (None:
     default_drift_cap).  Every gamma steps the same noise: the state has
     G*R columns, gamma-major, each bit-identical to a call at its gamma
-    alone.
+    alone.  A gamma, dt or cap that is not positive, a gamma or dt that is
+    not finite, and a start or barrier value that is not finite raise
+    ValueError.
 
     The step is T <- T + dW / sqrt(gamma) + clamp(drift, +-cap) * dt, the
     whole state read at the start of the step and each exp's argument
     capped at 700.  A chunk is stepped with neither cap first, then again,
     tamed, from its start state in each column where gamma times an edge's
-    largest gap over the chunk passed min(log(cap - |a|), 700) of the row it
-    pushes, rounded down past log's and exp's rounding, or where a row's |a|
-    reaches cap.  Rounding is monotone, so that product is the largest
-    gamma * gap of the chunk, and below the bound |drift| <= cap in floating
-    point too: neither cap changes a value.  Steps run in chunks of k,
-    sized so that the chunk's scaled noise (k, P, G*R) and its states take
-    about 512 KB each, and of at most 256 steps, whose views are made once
-    per call.
+    largest gap over the chunk passed min(log(cap), 700) of the row it
+    pushes, rounded down past log's and exp's rounding.  Rounding is
+    monotone, so that product is the largest gamma * gap of the chunk, and
+    below the bound |drift| <= cap in floating point too: neither cap
+    changes a value.  Steps run in chunks of k, sized so that the chunk's
+    scaled noise (k, P, G*R) and its states take about 512 KB each, and of
+    at most 256 steps, whose views are made once per call.
     observe(i0, block) gets the moving rows' states at grid indices i0 ..
     i0+k-1, a (k, P, G*R) view that the next chunk overwrites: once for
     i0 = 0, then once per chunk.  A non-finite state raises NonFiniteError
@@ -184,9 +182,19 @@ def ensemble_scan(
         raise ValueError("barriers must have one value per grid point")
     if np.shape(start) != (P,):
         raise ValueError("start must hold one value per moving row")
+    if not np.isfinite(start).all():
+        raise ValueError("start must be finite")
+    if F and not np.isfinite(barriers).all():
+        raise ValueError("barriers must be finite")
+    if not 0 < dt < np.inf:  # NaN fails too
+        raise ValueError(f"dt must be positive and finite, got {dt}")
     gam = np.asarray(gamma, dtype=float)
+    if not ((gam > 0) & (gam < np.inf)).all():
+        raise ValueError(f"gamma must be positive and finite, got {gamma}")
     G, GR = gam.size, gam.size * R
     caps = [default_drift_cap(g) for g in gam.flat] if cap is None else cap
+    if not (np.asarray(caps) > 0).all():
+        raise ValueError(f"cap must be positive, got {cap}")
     hi_cap = np.tile(np.repeat(np.broadcast_to(caps, (G,)), R), (P, 1))
     sqg = np.sqrt(gam).reshape(G, 1)
     lower, upper = topology.lower[:P], topology.upper[:P]
@@ -221,16 +229,8 @@ def ensemble_scan(
         if np.shape(least_gap) != (len(rel_edge),) + gam.shape + (R,):
             raise ValueError("least_gap must hold one value per relation, "
                              "gamma and replicate")
-    base = None if drifts is None else np.reshape(drifts, (P, 1))
-    a = np.zeros((P, 1)) if base is None else np.abs(base)
-    # a push is exp(.) >= +0.0 or the zero row: 0.0 + push is push, bit for bit
-    base = base if a.any() else None
-    # NaN or a headroom <= 0 fails every comparison with the bound
-    with np.errstate(divide="ignore", invalid="ignore"):
-        room = np.minimum(np.log(hi_cap[owner] - a[owner]), _EXP_MAX)
+    room = np.minimum(np.log(hi_cap[owner]), _EXP_MAX)
     bound = room - 1e-12 * (1.0 + np.abs(room))
-    # where a row's constant drift alone reaches its cap, no edge shows it
-    untamed = (a < hi_cap).all(0)
     # 0-d operands: a Python float costs each ufunc call a conversion
     exp_max, dt = np.array(_EXP_MAX), np.array(dt, dtype=float)
     K = max(1, min(M, _MAX_CHUNK, _CHUNK_BYTES // (8 * (P + F) * max(GR, 1))))
@@ -289,8 +289,6 @@ def ensemble_scan(
             exp(far, push_e)
             # and one call both pushes of every row
             push.take(pushes, 0, rows, "clip")
-            if base is not None:
-                add(base, drift, drift)
             sub(drift, down, drift)
             step = drift
             if caps is not None:
@@ -345,7 +343,7 @@ def ensemble_scan(
                 np.max(ghist[:k], axis=0, out=most)
                 mul(most, g_row, scaled)
                 fine = (scaled <= bound).all(0)
-                redo = np.flatnonzero(~(fine & untamed))
+                redo = np.flatnonzero(~fine)
                 if redo.size:
                     part = block[: k + 1].take(redo, 2)
                     hist = np.empty((k, E, redo.size))
@@ -401,8 +399,7 @@ def simulate(
 
     clamps = ensemble_scan(
         Topology.triangle(N), config.initial.entries, inc, config.gamma,
-        grid.dt, config.drift_cap,
-        drifts=np.repeat(config.drifts, np.arange(1, N + 1)), observe=keep,
+        grid.dt, config.drift_cap, observe=keep,
     )
     return SimulationResult(PathBundle(N, grid, out), int(clamps[0]))
 

@@ -385,9 +385,10 @@ _STEPPED = {
     "N=2": (_cfg(2, 8.0), PathBundle.linear(
         2, _STEP_GRID, TriangularConfiguration.zeros(2),
         TriangularConfiguration(2, np.array([-0.2125, 0.1, 0.2125])))),
-    "drifted N=1": (_cfg(1, 8.0, drifts=np.array([0.3])), PathBundle.linear(
-        1, _STEP_GRID, TriangularConfiguration.zeros(1),
-        TriangularConfiguration(1, np.array([0.2])))),
+    "N=3": (_cfg(3, 8.0), PathBundle.linear(
+        3, _STEP_GRID, TriangularConfiguration.zeros(3),
+        TriangularConfiguration(3, np.array([-0.1, 0.05, 0.1,
+                                             -0.15, 0.0, 0.15])))),
 }
 
 

@@ -151,6 +151,14 @@ def test_model_config_rejects_bad_initial():
     assert validate_initial_entries(ok.N, ok.initial.entries) == []
 
 
+def test_model_config_cap_is_keyword_only():
+    # a fourth positional argument binds to no field, not to the cap
+    zero = TriangularConfiguration.zeros(1)
+    with pytest.raises(TypeError):
+        ModelConfig(1, 8.0, zero, np.array([0.3]))
+    assert ModelConfig(1, 8.0, zero, drift_cap=2.0).drift_cap == 2.0
+
+
 def test_levels_below_one_rejected():
     grid = TimeGrid(0.0, 1.0, 4)
     with pytest.raises(ValueError, match="level"):

@@ -51,20 +51,6 @@ def test_n1_is_exact_random_walk():
     assert res.clamp_events == 0
 
 
-def test_level_drift_shifts_n1():
-    grid = TimeGrid(0.0, 1.0, 100)
-    gamma = 4.0
-    noise = ensemble_increments(2, range(0, 1), grid, 1)[0]
-    cfg = _config(1, gamma, drifts=np.array([0.7]))
-    res = simulate(cfg, grid, noise)
-    free = simulate(_config(1, gamma), grid, noise)
-    np.testing.assert_allclose(
-        res.bundle.values[0] - free.bundle.values[0],
-        0.7 * grid.times,
-        atol=1e-10,
-    )
-
-
 def test_edge_ode_oracle_log1p():
     # zero noise, barrier glued at the start value: the edge particle obeys
     # y' = exp(gamma(0 - y)), y(0)=0, i.e. y = log(1 + gamma t)/gamma
@@ -216,13 +202,11 @@ def test_four_particle_scan_shapes_and_symmetry():
         )
 
 
-def _reference_scan(topology, start, increments, gamma, dt, cap, barriers,
-                    drifts=None):
+def _reference_scan(topology, start, increments, gamma, dt, cap, barriers):
     """Tamed Euler one particle and one replicate at a time, written from
-    the drift formula: a + exp(gamma (lower - T)) - exp(gamma (T - upper)),
+    the drift formula: exp(gamma (lower - T)) - exp(gamma (T - upper)),
     exponents capped at 700 and drift clamped to +-cap."""
     R, P, M = increments.shape
-    a = np.zeros(P) if drifts is None else np.asarray(drifts, dtype=float)
     paths = np.zeros((R, topology.size, M + 1))
     clamps = np.zeros(R, dtype=int)
     for r in range(R):
@@ -233,7 +217,7 @@ def _reference_scan(topology, start, increments, gamma, dt, cap, barriers,
             x = T[:, i]
             for p in range(P):
                 lo, up = topology.lower[p], topology.upper[p]
-                drift = a[p]
+                drift = 0.0
                 if lo >= 0:
                     drift += np.exp(min(gamma * (x[lo] - x[p]), 700.0))
                 if up >= 0:
@@ -261,19 +245,10 @@ _REFERENCE_CASES = {
     "some-columns-clamp": (
         Topology.triangle(2), [], {"gamma": 8.0, "cap": 2.5, "steps": 300},
     ),
-    # the constant drift alone exceeds the cap, in a row with no edge
-    "drift-over-cap-n1": (
-        Topology.triangle(1), [],
-        {"gamma": 8.0, "cap": 0.5, "drifts": [1.0], "steps": 50},
-    ),
+    # rows 0 and 3 have no edge; row 0 pushes row 1 up and row 2 down
     "edgeless-row-over-cap": (
         Topology([-1, 0, -1, -1], [-1, -1, 0, -1]), [],
-        {"gamma": 2.0, "cap": 3.0, "drifts": [0.0, 0.5, -0.5, 4.0]},
-    ),
-    # the drifts leave the pushes less headroom than the cap
-    "drifts-near-cap": (
-        Topology.triangle(2), [],
-        {"gamma": 2.0, "cap": 3.0, "drifts": [0.0, 2.5, -2.5]},
+        {"gamma": 2.0, "cap": 3.0},
     ),
     # the barriers cross so far that gamma * gap passes exp's guard of 700
     # on both sides of the particle, then come inside the guard, then apart
@@ -287,8 +262,7 @@ _REFERENCE_CASES = {
         {"cap": np.inf},
     ),
     "triangle3-drifts": (
-        Topology.triangle(3), [],
-        {"gamma": 4.0, "cap": 2.0, "drifts": [1.5, -1.2, 1.2, 1.0, 0, -1.0]},
+        Topology.triangle(3), [], {"gamma": 4.0, "cap": 2.0},
     ),
     # inf noise in one replicate late in the second chunk, among replicates
     # that clamp: the scan raises where the reference first goes non-finite,
@@ -313,17 +287,15 @@ def test_scan_matches_reference_loop(case):
     if "poison" in kw:
         inc[kw["poison"]] = np.inf
     start = np.zeros(P)
-    drifts = kw.get("drifts")
     with np.errstate(all="ignore"):
         expect, expect_clamps = _reference_scan(
-            topology, start, inc, gamma, grid.dt, cap, fixed, drifts
+            topology, start, inc, gamma, grid.dt, cap, fixed
         )
     states = []
 
     def scan():
         return ensemble_scan(
             topology, start, inc, gamma, grid.dt, cap, barriers=fixed,
-            drifts=drifts,
             observe=lambda i, vals: states.extend(v.T.copy() for v in vals),
         )
 
@@ -344,8 +316,6 @@ def test_scan_matches_reference_loop(case):
     np.testing.assert_array_equal(clamps, expect_clamps)
     if case == "some-columns-clamp":
         assert 0 < np.count_nonzero(expect_clamps) < len(expect_clamps)
-    elif case == "drift-over-cap-n1":
-        assert list(expect_clamps) == [50] * len(expect_clamps)
     elif case != "cap-inf":
         assert expect_clamps.sum() > 0
 
@@ -403,6 +373,41 @@ def test_scan_rejects_mismatched_shapes():
         )
     with pytest.raises(ValueError):
         simulate(_config(2, 8.0), grid, np.zeros((3, 9)))
+
+
+def test_scan_rejects_bad_parameters_by_name():
+    # each is refused before a step, so no warning comes first: a dt < 0
+    # steps backwards, gamma < 0 meets sqrt, and gamma = 0 divides by zero
+    tri, lower_only = Topology.triangle(2), Topology([1, -1], [-1, -1])
+    inc = np.zeros((2, 3, 10))
+    good = dict(topology=tri, start=np.zeros(3), noise=inc, gamma=8.0,
+                dt=0.1, cap=None)
+    bad = [("gamma", dict(gamma=g)) for g in (0.0, -1.0, np.nan, np.inf)]
+    bad += [("gamma", dict(gamma=[8.0, -1.0])),
+            ("dt", dict(dt=-0.02)), ("dt", dict(dt=0.0)),
+            ("dt", dict(dt=np.nan)), ("dt", dict(dt=np.inf)),
+            ("start", dict(start=np.array([0.0, np.nan, 0.0]))),
+            ("start", dict(start=np.array([np.inf, 0.0, 0.0]))),
+            ("cap", dict(cap=0.0)), ("cap", dict(cap=np.nan)),
+            ("cap", dict(gamma=[8.0, 16.0], cap=[1.0, -1.0]))]
+    bad += [("barriers", dict(topology=lower_only, start=np.zeros(1),
+                              noise=inc[:, :1], barriers=b))
+            for b in (np.full((1, 11), np.nan),
+                      np.r_[np.zeros(10), np.inf][None])]
+    for name, kw in bad:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"^{name} "):
+                ensemble_scan(**dict(good, **kw))
+    grid = TimeGrid(0.0, 1.0, 10)
+    lo, hi = SamplePath.constant(grid, -1.0), SamplePath.constant(grid, 1.0)
+    for gamma in (0.0, -1.0, np.nan):
+        with pytest.raises(ValueError, match="^gamma "):
+            simulate_lower_barrier_euler(lo, np.zeros((2, 10)), 0.0, gamma)
+        with pytest.raises(ValueError, match="^gamma "):
+            simulate_two_barrier(lo, hi, np.zeros((2, 10)), 0.0, gamma)
+    with pytest.raises(ValueError, match="^start "):
+        simulate_two_barrier(lo, hi, np.zeros((2, 10)), np.nan, 8.0)
 
 
 def _scan_blocks(topology, inc, gamma, cap, **kw):
@@ -651,10 +656,7 @@ _STACKED_CASES = {
         Topology([1, -1, -1], [2, -1, -1]), [4.0, 32.0], 0.8,
         {"barriers": np.stack([-_T - 0.05, _T * _T + 0.05])},
     ),
-    "triangle3-drifts": (
-        Topology.triangle(3), [2.0, 8.0], None,
-        {"drifts": [0.3, -0.2, -0.2, 0.1, 0.1, 0.1]},
-    ),
+    "triangle3-drifts": (Topology.triangle(3), [2.0, 8.0], None, {}),
 }
 
 
@@ -710,10 +712,7 @@ def test_scan_non_finite_mid_chunk_raises_without_warnings():
 
 
 _LEAST_GAP_CASES = {
-    "triangle3-drifts": (
-        Topology.triangle(3), [2.0, 8.0], None,
-        {"drifts": [0.3, -0.2, -0.2, 0.1, 0.1, 0.1]},
-    ),
+    "triangle3-drifts": (Topology.triangle(3), [2.0, 8.0], None, {}),
     # the cap of 0.5 makes columns step again, tamed; 3 is no power of four,
     # so gamma * gap rounds
     "four-particle-restepped": (FOUR_PARTICLE, [3.0, 64.0], 0.5, {}),
@@ -756,22 +755,6 @@ def test_least_gap_matches_stored_paths(case):
         assert clamps.sum() > 0
     if case == "least-at-end":
         assert (gaps.argmin(axis=1) == M).all()
-
-
-def test_zero_drifts_step_as_none():
-    # the cap of 0.5 makes columns step again, tamed, where the drift is
-    # added too; a -0.0 drift adds nothing either
-    R, M = 40, _T.size - 1
-    inc = ensemble_increments(29, range(R), TimeGrid(0.0, 1.0, M), 4)
-    runs = []
-    for drifts in (None, [0.0, -0.0, 0.0, 0.0]):
-        least = np.empty((len(FOUR_PARTICLE.relations), 2, R))
-        states, clamps, _ = _scan_blocks(FOUR_PARTICLE, inc, [3.0, 64.0], 0.5,
-                                         drifts=drifts, least_gap=least)
-        runs.append((states, clamps, least))
-    for none, zero in zip(*runs):
-        assert none.tobytes() == zero.tobytes()
-    assert runs[0][1].sum() > 0
 
 
 def test_least_gap_rejects_what_it_cannot_fill():
