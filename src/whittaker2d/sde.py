@@ -189,7 +189,7 @@ def ensemble_scan(
     if not 0 < dt < np.inf:  # NaN fails too
         raise ValueError(f"dt must be positive and finite, got {dt}")
     gam = np.asarray(gamma, dtype=float)
-    if not ((gam > 0) & (gam < np.inf)).all():
+    if not np.all(np.isfinite(gam) & (gam > 0)):
         raise ValueError(f"gamma must be positive and finite, got {gamma}")
     G, GR = gam.size, gam.size * R
     caps = [default_drift_cap(g) for g in gam.flat] if cap is None else cap
