@@ -33,6 +33,7 @@ from .model import (
     SamplePath,
     TimeGrid,
     TriangularConfiguration,
+    _column_rows,
     _float_rows,
     _grid_of,
     _write_csv,
@@ -41,7 +42,7 @@ from .model import (
     configuration_from_csv,
     tri_size,
 )
-from .noise import ensemble_increments
+from .noise import IncrementStream
 from .rate import default_coincidence_eps, total_rate
 from .sde import NonFiniteError, simulate
 from .skorokhod import reflect_above, reflect_below
@@ -157,7 +158,7 @@ def _cmd_simulate(args) -> int:
     )
     grid = TimeGrid.from_dt(args.t0, args.t1, args.dt)
     reps = range(args.replicate, args.replicate + 1)
-    noise = ensemble_increments(args.seed, reps, grid, tri_size(args.n))[0]
+    noise = IncrementStream(args.seed, reps, grid, tri_size(args.n))
     result = simulate(config, grid, noise)
     comments = [f"config={_resolved(args)}",
                 f"seed={args.seed} replicate={args.replicate}"]
@@ -198,7 +199,7 @@ def _cmd_reflect(args) -> int:
     cols = [driver.grid.times, result.path.values, result.push_term.values,
             result.active.astype(int)]
     with _output(args.out) as f:
-        _write_csv(f, "t,path,push,active", zip(*(c.tolist() for c in cols)),
+        _write_csv(f, "t,path,push,active", _column_rows(cols),
                    [f"config={_resolved(args)}"])
     return 0
 

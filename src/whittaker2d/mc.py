@@ -594,7 +594,6 @@ def equivalence_experiment(
     budget = _gap_budget(gamma, eta, grid)
     in_tube, violations, max_gap = 0, 0, 0.0
     for reps in _batches(n_samples, _EQUIVALENCE_BATCH):
-        inc = ensemble_increments(seed, reps, grid, 1)
         # per replicate: each relation's least gap and max |twin - full|
         least = np.empty((len(_COUPLING.relations), len(reps)))
         gap = np.zeros(len(reps))
@@ -602,9 +601,11 @@ def equivalence_experiment(
         def observe(i0, block):
             np.maximum(gap, np.abs(block[:, 1] - block[:, 0]).max(0), out=gap)
 
-        pair = np.broadcast_to(inc, (len(reps), 2, grid.steps))
-        ensemble_scan(_COUPLING, np.zeros(2), pair, gamma, grid.dt, None,
-                      barriers=barriers, observe=observe, least_gap=least)
+        # one noise stream, which both moving rows step
+        ensemble_scan(_COUPLING, np.zeros(2),
+                      IncrementStream(seed, reps, grid, 1), gamma, grid.dt,
+                      None, barriers=barriers, observe=observe,
+                      least_gap=least)
         tube = least[_CLEARANCE] >= eta
         in_tube += int(np.count_nonzero(tube))
         violations += int(np.count_nonzero(tube & (gap > budget)))

@@ -454,20 +454,37 @@ def _bundle_header(N: int) -> str:
 
 def bundle_to_csv(f, bundle: PathBundle, comments: list[str] | None = None) -> None:
     """Write a bundle to a text file object.  Comment lines start with '#'."""
-    table = np.column_stack([bundle.grid.times, bundle.values.T]).tolist()
-    _write_csv(f, _bundle_header(bundle.N), table, comments or ())
+    _write_csv(f, _bundle_header(bundle.N),
+               _column_rows([bundle.grid.times, *bundle.values]),
+               comments or ())
+
+
+# the rows that _write_csv formats, and _column_rows converts, at a time
+_CSV_ROWS = 1024
+
+
+def _column_rows(cols):
+    """The rows of the equal-length 1-d arrays cols, as tuples of Python
+    scalars, converted _CSV_ROWS rows at a time, so that a table is never
+    held as Python objects whole."""
+    for i in range(0, len(cols[0]), _CSV_ROWS):
+        yield from zip(*(c[i : i + _CSV_ROWS].tolist() for c in cols))
 
 
 def _write_csv(f, header: str, rows, comments=(), footer=()) -> None:
     """Write to text file f the `# ` comment lines, the header, each row as
-    its values' str joined by commas (one %-format of the whole table), then
-    the `# ` footer lines.  Rows hold Python scalars, one per header field,
-    so a float is written as its repr: exact on reread."""
-    flat = tuple(itertools.chain.from_iterable(rows))
+    its values' str joined by commas (one %-format for each _CSV_ROWS rows
+    of the iterable rows), then the `# ` footer lines.  Rows hold Python
+    scalars, one per header field, so a float is written as its repr:
+    exact on reread."""
     ncols = header.count(",") + 1
-    f.write("".join(f"# {line}\n" for line in comments) + header + "\n")
-    f.write(("%s" + ",%s" * (ncols - 1) + "\n") * (len(flat) // ncols) % flat)
-    f.write("".join(f"# {line}\n" for line in footer))
+    line = "%s" + ",%s" * (ncols - 1) + "\n"
+    f.write("".join(f"# {c}\n" for c in comments) + header + "\n")
+    rows = iter(rows)
+    while block := tuple(itertools.chain.from_iterable(
+            itertools.islice(rows, _CSV_ROWS))):
+        f.write(line * (len(block) // ncols) % block)
+    f.write("".join(f"# {c}\n" for c in footer))
 
 
 _floats = functools.partial(np.loadtxt, delimiter=",", comments=None, ndmin=2)

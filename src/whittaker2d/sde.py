@@ -13,7 +13,8 @@ barrier paths.  It draws streamed noise a window at a time, in draw order.
 Where a core is idle, a path longer than one window is drawn into a ring of
 two half windows, the next filled by a draw thread of the call's own while
 the current one is stepped, so the draw runs on that core and the two
-halves hold what one window would.
+halves hold what one window would, unless halving would cut each block's
+draw call short.
 
 The exponential drift is stiff; the Euler stepper tames it by clamping the
 net drift to +-D with D = exp(0.25 * gamma) by default, and reports every
@@ -59,13 +60,18 @@ _MAX_CHUNK = 256  # steps per chunk at most, so its step views stay few
 # the whole chunks that fit _WINDOW_BYTES, or _MIN_WINDOW steps if that is
 # more, since every window costs each block of four replicates one more draw
 # call, and a stream split at all opens a generator of its own per block.
-# A path of at most _WHOLE steps, or one that fits a window, is drawn whole.
-# A longer one is drawn in place, window by window, unless a core is idle:
-# then in two buffers of half the chunks each, one stepped while the draw
-# thread fills the other.  Two windows of 1,053 steps held 6.7 MB of the
-# 47.7 MB peak RSS of the four-particle batch of 100 replicates at
-# M = 10,000; two of 243 steps hold 1.6 MB
-_WHOLE, _MIN_WINDOW, _WINDOW_BYTES = 1024, 256, 3 << 19
+# A path that fits a window is drawn whole.  A longer one is drawn in place,
+# window by window, unless a core is idle and half a window still gives
+# each block's draw call _MIN_WINDOW steps of one stream: then in two
+# buffers of half the chunks each, one stepped while the draw thread fills
+# the other.  Two windows of 1,053 steps held 6.7 MB of the 47.7 MB peak
+# RSS of the four-particle batch of 100 replicates at M = 10,000; two of
+# 163 steps hold 1 MB.  The equivalence coupling's batch of 1,000
+# replicates (one stream, 8 KB a step) draws in place, in windows of 256
+# steps: on 2 vCPUs, in medians of 60 interleaved calls, its scan took
+# 57-62 ms in two halves of 128 steps, 54-61 ms in place and 51-56 ms
+# from its whole (R, 1, M) array
+_MIN_WINDOW, _WINDOW_BYTES = 256, 3 << 19
 # .on is set in a thread that steps one of several tiles spread over every
 # core (mc._tiled): no core is idle to draw on, so its scans draw each
 # window in place, in one buffer of the whole window
@@ -130,24 +136,25 @@ def ensemble_scan(
     one gamma or at several.
 
     noise holds the raw Normal(0, dt) draws for the P moving rows, shape
-    (R, P, M): an array, or an IncrementStream, whose block-major draws are
-    held a window at a time, so that a longer path's whole array is never
-    held; both step the same values.  A path of at most 1024 steps, or one
-    that fits a window, is drawn whole; a window is the whole chunks that
-    fit 1.5 MB, or 256 steps if that is more.  Where a core is idle (more
-    than one core, and the calling thread is not stepping one of mc's
-    tiles), a longer path is drawn in two half windows, each by a thread of
-    the call's own while the other is stepped; elsewhere it is drawn in
-    place, window by window.  No draw outlives the call.  start holds the P
-    start values.  barriers, shape (F, M+1), are the paths of the
-    topology's last F rows, which are fixed: they are written into the
-    state at every grid index instead of being stepped.  gamma is a scalar
-    or a 1-d array of G values, cap a scalar or one value per gamma (None:
-    default_drift_cap).  Every gamma steps the same noise: the state has
-    G*R columns, gamma-major, each bit-identical to a call at its gamma
-    alone.  A gamma, dt or cap that is not positive, a gamma or dt that is
-    not finite, and a start or barrier value that is not finite raise
-    ValueError.
+    (R, P, M), or (R, 1, M) for one stream that every moving row steps: an
+    array, or an IncrementStream, whose block-major draws are held a window
+    at a time, so that a longer path's whole array is never held; both step
+    the same values.  A window is the whole chunks that fit 1.5 MB, or 256
+    steps if that is more, and a path that fits one is drawn whole.  Where a
+    core is idle (more than one core, and the calling thread is not stepping
+    one of mc's tiles), a longer path is drawn in two half windows, each by
+    a thread of the call's own while the other is stepped, if a half window
+    holds 256 steps of one stream (each block's draw call makes at least
+    1,024 normals); elsewhere it is drawn in place, window by window.  No
+    draw outlives the call.  start holds the P start values.  barriers,
+    shape (F, M+1), are the paths of the topology's last F rows, which are
+    fixed: they are written into the state at every grid index instead of
+    being stepped.  gamma is a scalar or a 1-d array of G values, cap a
+    scalar or one value per gamma (None: default_drift_cap).  Every gamma
+    steps the same noise: the state has G*R columns, gamma-major, each
+    bit-identical to a call at its gamma alone.  A gamma, dt or cap that is
+    not positive, a gamma or dt that is not finite, and a start or barrier
+    value that is not finite raise ValueError.
 
     The step is T <- T + dW / sqrt(gamma) + clamp(drift, +-cap) * dt, the
     whole state read at the start of the step and each exp's argument
@@ -174,9 +181,10 @@ def ensemble_scan(
     observe sees.  Every relation must bound a moving row.  Returns the
     per-replicate clamp-event counts, shape np.shape(gamma) + (R,).
     """
-    R, P, M = noise.shape
+    R, S, M = noise.shape
     F = 0 if barriers is None else barriers.shape[0]
-    if topology.size != P + F:
+    P = topology.size - F
+    if P < 0 or S not in (1, P):
         raise ValueError("noise and barriers do not match the topology")
     if F and barriers.shape != (F, M + 1):
         raise ValueError("barriers must have one value per grid point")
@@ -238,19 +246,20 @@ def ensemble_scan(
     if streamed:
         # drawn in windows of whole chunks, so that no chunk straddles two
         nb, off = noise.blocks, noise.offset
-        fit = _WINDOW_BYTES // (8 * _Q * max(nb * P, 1))
+        fit = _WINDOW_BYTES // (8 * _Q * max(nb * S, 1))
         chunks = max(_MIN_WINDOW, fit) // K
-        whole = M <= max(_WHOLE, chunks * K)
-        ring = 2 if (not whole and chunks > 1 and _cores() > 1
+        whole = M <= chunks * K
+        ring = 2 if (not whole and chunks // 2 * K * S >= _MIN_WINDOW
+                     and _cores() > 1
                      and not getattr(_tile_thread, "on", False)) else 1
         W = M if whole else chunks // ring * K
-        windows = [np.empty((nb, W, _Q, P)) for _ in range(ring)]
-        # a block's 4·P values of a step move as one item, into K steps of
+        windows = [np.empty((nb, W, _Q, S)) for _ in range(ring)]
+        # a block's 4·S values of a step move as one item, into K steps of
         # step-major rows, of which the range's replicates are [off, off + R)
-        item = np.dtype((np.void, 8 * _Q * P))
-        rows = np.empty((K, nb * _Q, P))
-        row_items = rows.reshape(K, nb, _Q * P).view(item)[..., 0]
-        items = [w.reshape(nb, W, _Q * P).view(item)[..., 0] for w in windows]
+        item = np.dtype((np.void, 8 * _Q * S))
+        rows = np.empty((K, nb * _Q, S))
+        row_items = rows.reshape(K, nb, _Q * S).view(item)[..., 0]
+        items = [w.reshape(nb, W, _Q * S).view(item)[..., 0] for w in windows]
     else:
         W, windows = M, [noise.transpose(2, 0, 1)]  # (M, R, P) steps
     block, dW = np.empty((K + 1, P + F, GR)), np.empty((K, P, GR))
@@ -380,17 +389,21 @@ def ensemble_scan(
 def simulate(
     config: ModelConfig,
     grid: TimeGrid,
-    noise: np.ndarray,
+    noise,
 ) -> SimulationResult:
     """Tamed Euler run of the full triangle from config.initial, with the
     taming cap config.drift_cap (default exp(0.25 * gamma)).
 
-    noise holds the raw Normal(0, dt) increments, shape (P, M) for the P
-    particles in level-major order.
+    noise holds the raw Normal(0, dt) increments for the P particles in
+    level-major order: a (P, M) array, or the IncrementStream of one
+    replicate, shape (1, P, M), which ensemble_scan draws a window at a
+    time.
     """
     N = config.N
-    inc = np.asarray(noise, dtype=float)[None]
-    if inc.shape[1:] != (tri_size(N), grid.steps):
+    inc = noise
+    if not isinstance(noise, IncrementStream):
+        inc = np.asarray(noise, dtype=float)[None]
+    if inc.shape != (1, tri_size(N), grid.steps):
         raise ValueError("noise shape does not match config/grid")
     out = np.empty((tri_size(N), grid.npoints))
 

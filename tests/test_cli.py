@@ -1,6 +1,7 @@
 import inspect
 import io
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,7 +21,9 @@ from whittaker2d import (
     reflect_above,
     total_rate,
 )
+from whittaker2d import sde
 from whittaker2d.cli import _build_parser, main
+from whittaker2d.sde import NonFiniteError
 
 
 def run(argv, capsys):
@@ -71,6 +74,40 @@ def test_simulate_writes_file(tmp_path, capsys):
     assert code == 0
     text = out.read_text()
     assert text.splitlines()[-1].startswith("# clamps=")
+
+
+def test_simulate_holds_its_bundle_not_its_noise_or_table(tmp_path, capsys):
+    # N = 4 at dt = 1e-5 makes a (10, 100001) bundle, 8 MB.  Its noise is
+    # drawn a window at a time and its CSV formatted 1024 rows at a time,
+    # so the traced peak is about the bundle and its copy in the result;
+    # the whole noise and the table as Python floats once took 128 MB
+    out = tmp_path / "big.csv"
+    tracemalloc.start()
+    try:
+        code = main(["simulate", "--n", "4", "--dt", "1e-5",
+                     "--out", str(out)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak <= 3 * 10 * 100_001 * 8
+
+
+def test_runtime_error_exits_two_without_output(monkeypatch, tmp_path,
+                                                capsys):
+    # the CSV is written only once the scan has returned, so a scan that
+    # raises leaves no --out file
+    def overflow(*args, **kwargs):
+        raise NonFiniteError(step=3, particle=1)
+
+    monkeypatch.setattr(sde, "ensemble_scan", overflow)
+    out = tmp_path / "run.csv"
+    code, stdout, err = run(
+        ["simulate", "--n", "2", "--dt", "0.01", "--out", str(out)], capsys
+    )
+    assert code == 2
+    assert err.startswith("runtime error:") and "step 3" in err
+    assert stdout == "" and not out.exists()
 
 
 def test_rate_pipeline(tmp_path, capsys):

@@ -779,6 +779,22 @@ def test_tile_scan_holds_one_window_of_noise():
     assert peak <= window + 8 * sde._CHUNK_BYTES
 
 
+def test_equivalence_holds_a_window_of_noise():
+    # a batch of 2000 replicates at M = 1000 has (2000, 1, 1000) increments,
+    # 16 MB, which the coupling once held whole.  Its one noise stream is
+    # 16 KB a step, so the scan holds the 256-step floor, 4.1 MB, drawn in
+    # place: half of it would give each block's draw call 128 steps
+    grid = TimeGrid(0.0, 1.0, 1000)
+    window = 256 * 500 * 4 * 8
+    tracemalloc.start()
+    try:
+        equivalence_experiment(32.0, 0.5, grid, 2000, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= window + 8 * sde._CHUNK_BYTES
+
+
 @pytest.mark.slow
 @pytest.mark.skipif(not sys.platform.startswith("linux"),
                     reason="reads the peak RSS from /proc/self/status")

@@ -261,7 +261,8 @@ _REFERENCE_CASES = {
         Topology([1, -1], [-1, -1]), [lambda t: 25.0 - 100.0 * t],
         {"cap": np.inf},
     ),
-    "triangle3-drifts": (
+    # the triangle at gamma 4 under a cap of 2
+    "triangle3-cap2": (
         Topology.triangle(3), [], {"gamma": 4.0, "cap": 2.0},
     ),
     # inf noise in one replicate late in the second chunk, among replicates
@@ -420,8 +421,8 @@ def _scan_blocks(topology, inc, gamma, cap, **kw):
         blocks.append(block.copy())
 
     clamps = ensemble_scan(
-        topology, np.zeros(inc.shape[1]), inc, gamma, 0.01, cap,
-        observe=observe, **kw,
+        topology, np.zeros(topology.size - len(kw.get("barriers", ()))), inc,
+        gamma, 0.01, cap, observe=observe, **kw,
     )
     return np.concatenate(blocks), clamps, starts
 
@@ -430,9 +431,9 @@ def _scan_blocks(topology, inc, gamma, cap, **kw):
 @pytest.mark.parametrize(
     "reps, steps, room, where, windows",
     [(range(64), 500, None, "ring", (500, 500)),
-     (range(64), 1024, None, "ring", (1024, 1024)),
+     (range(64), 1024, None, "ring", (256, 384)),
      (range(64), 5000, None, "ring", (256, 384)),
-     (range(64), 1000, 100, "ring", (1000, 1000)),
+     (range(64), 1000, 100, "ring", (256, 128)),
      (range(64), 2500, 100, "ring", (256, 128)),
      (range(64), 3000, 4000, "ring", (3000, 3000)),
      (range(3, 70), 2500, None, "ring", (244, 244)),
@@ -445,13 +446,14 @@ def test_streamed_scan_matches_materialized(
 ):
     # four-particle replicates, their noise in block-major windows of
     # (blocks, k, 4, P); the cap of 0.5 clamps.  64 replicates (16 blocks,
-    # 2 KB a step) step in chunks of 256 (G=1) or 128 (G=2) steps: a path of
-    # up to 1024 steps is drawn whole, and a longer one in windows of whole
-    # chunks that together hold at most 1.5 MB (768 steps), two half windows
-    # of 256 or 384 steps where a core is idle.  A byte bound with room for
-    # 100 steps stands for a wide batch: windows together hold the 256-step
-    # floor, one window of one chunk at G=1, two of one chunk at G=2; a
-    # bound with room for 4000 steps stands for a narrow one, drawn whole.
+    # 2 KB a step) step in chunks of 256 (G=1) or 128 (G=2) steps: a path
+    # that fits the window of whole chunks that hold at most 1.5 MB (768
+    # steps) is drawn whole, and a longer one, 1024 steps already, in two
+    # half windows of 256 or 384 steps where a core is idle.  A byte bound
+    # with room for 100 steps stands for a wide batch, even at 1000 steps:
+    # windows together hold the 256-step floor, one window of one chunk at
+    # G=1, two of one chunk at G=2; a bound with room for 4000 steps stands
+    # for a narrow one, drawn whole.
     # Replicates 3..69 start and end inside blocks (18 blocks, chunks of 244
     # or 122 steps, 682 steps to 1.5 MB): windows of 244 steps in the ring,
     # 488 or 610 in place; 5000 and 2500 steps are multiples of no window
@@ -469,6 +471,49 @@ def test_streamed_scan_matches_materialized(
         FOUR_PARTICLE, inc, gammas, 0.5
     )
     assert drawn == [W] * (steps // W) + [steps % W] * (steps % W > 0)
+    assert starts == expect_starts
+    assert got.tobytes() == expect.tobytes()
+    assert got_clamps.tobytes() == clamps.tobytes()
+    assert clamps.sum() > 0
+
+
+@pytest.mark.parametrize("gammas", [[2.0], [2.0, 64.0]], ids=["G1", "G2"])
+@pytest.mark.parametrize(
+    "reps, room, where, windows",
+    [(range(64), None, "ring", (1536, 1536)),
+     (range(64), None, "in-place", (3072, 3072)),
+     (range(3, 70), 100, "ring", (244, 244))],
+    ids=["ring", "in-place", "wide"],
+)
+def test_one_stream_scan_matches_broadcast_array(monkeypatch, gammas, reps,
+                                                  room, where, windows):
+    # one noise stream that all four rows step, as the equivalence coupling
+    # steps its pair: 64 replicates of one stream take 512 B a step, so the
+    # chunks of 256 or 128 steps that fit 1.5 MB make a window of 3072
+    # steps, two halves of 1536 where a core is idle.  A byte bound with
+    # room for 100 steps stands for a wide batch: replicates 3..69 (18
+    # blocks) step in chunks of 244 or 122 steps, so the window is the
+    # 256-step floor's whole chunks, 244 steps.  Its halves would give each
+    # block's draw call under 256 steps of one stream, so even with a core
+    # idle it is drawn in place
+    W = windows[len(gammas) - 1]
+    steps = 5000
+    grid = TimeGrid(0.0, 1.0, steps)
+    monkeypatch.setattr(sde, "_cores", lambda: 2 if where == "ring" else 1)
+    stream = IncrementStream(30, reps, grid, 1)
+    if room is not None:
+        monkeypatch.setattr(sde, "_WINDOW_BYTES", 8 * stream.blocks * 4 * room)
+    log = _recorded(stream)
+    got, got_clamps, starts = _scan_blocks(FOUR_PARTICLE, stream, gammas, 0.5)
+    inc = ensemble_increments(30, reps, grid, 1)
+    pair = np.broadcast_to(inc, (len(reps), 4, steps))
+    expect, clamps, expect_starts = _scan_blocks(
+        FOUR_PARTICLE, pair, gammas, 0.5
+    )
+    drawn = [e["shape"][1] for e in log]
+    assert drawn == [W] * (steps // W) + [steps % W] * (steps % W > 0)
+    threads = {e["thread"] for e in log}
+    assert (len(threads) == 2) == (where == "ring" and room is None)
     assert starts == expect_starts
     assert got.tobytes() == expect.tobytes()
     assert got_clamps.tobytes() == clamps.tobytes()
@@ -563,8 +608,8 @@ def test_two_windows_hold_no_more_than_one(idle_core, monkeypatch, R, steps,
                                            gammas, room):
     # the two buffers together hold at most one window: the whole chunks
     # that fit 1.5 MB of block-major (blocks, k, 4, P) noise, or 256 steps
-    # if that is more; a path of at most 1024 steps, or one that fits that
-    # window, is drawn whole
+    # if that is more; a path that fits that window is drawn whole, and
+    # 1000 or 1024 steps do not
     P, grid = 4, TimeGrid(0.0, 1.0, steps)
     if room is not None:
         monkeypatch.setattr(sde, "_WINDOW_BYTES", 8 * R * P * room)
@@ -580,7 +625,7 @@ def test_two_windows_hold_no_more_than_one(idle_core, monkeypatch, R, steps,
     drawn = [e["shape"][1] for e in log]
     assert all(e["shape"] == (blocks, k, 4, P) for e, k in zip(log, drawn))
     assert sum(drawn) == steps
-    if steps <= max(1024, budget):
+    if steps <= budget:
         assert drawn == [steps]
     else:
         assert max(a + b for a, b in zip(drawn, drawn[1:])) <= budget
@@ -656,7 +701,7 @@ _STACKED_CASES = {
         Topology([1, -1, -1], [2, -1, -1]), [4.0, 32.0], 0.8,
         {"barriers": np.stack([-_T - 0.05, _T * _T + 0.05])},
     ),
-    "triangle3-drifts": (Topology.triangle(3), [2.0, 8.0], None, {}),
+    "triangle3-stacked": (Topology.triangle(3), [2.0, 8.0], None, {}),
 }
 
 
@@ -712,7 +757,7 @@ def test_scan_non_finite_mid_chunk_raises_without_warnings():
 
 
 _LEAST_GAP_CASES = {
-    "triangle3-drifts": (Topology.triangle(3), [2.0, 8.0], None, {}),
+    "triangle3-least-gap": (Topology.triangle(3), [2.0, 8.0], None, {}),
     # the cap of 0.5 makes columns step again, tamed; 3 is no power of four,
     # so gamma * gap rounds
     "four-particle-restepped": (FOUR_PARTICLE, [3.0, 64.0], 0.5, {}),
