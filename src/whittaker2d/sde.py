@@ -66,7 +66,7 @@ _MAX_CHUNK = 256  # steps per chunk at most, so its step views stay few
 # buffers of half the chunks each, one stepped while the draw thread fills
 # the other.  Two windows of 1,053 steps held 6.7 MB of the 47.7 MB peak
 # RSS of the four-particle batch of 100 replicates at M = 10,000; two of
-# 163 steps hold 1 MB.  The equivalence coupling's batch of 1,000
+# 243 steps hold 1.6 MB.  The equivalence coupling's batch of 1,000
 # replicates (one stream, 8 KB a step) draws in place, in windows of 256
 # steps: on 2 vCPUs, in medians of 60 interleaved calls, its scan took
 # 57-62 ms in two halves of 128 steps, 54-61 ms in place and 51-56 ms
